@@ -53,8 +53,17 @@ class PageDiff:
         return not self.deltas
 
 
+#: ``bytes.translate`` table mapping every nonzero byte to 1 (zero stays 0).
+_NONZERO_TO_ONE = bytes([0]) + bytes([1]) * 255
+
+
 def diff_page(page: int, twin: bytes, current: bytes) -> PageDiff:
     """Compute the byte-level diff between ``twin`` and ``current``.
+
+    The comparison runs at C speed without a per-byte Python loop: the two
+    pages are XORed as big integers, every nonzero byte of the XOR is mapped
+    to ``1``, and each maximal run of changed bytes is then found with two
+    ``bytes.find`` calls (its first ``1`` and the ``0`` that ends it).
 
     Args:
         page: Page id (recorded in the returned diff).
@@ -67,21 +76,26 @@ def diff_page(page: int, twin: bytes, current: bytes) -> PageDiff:
     Raises:
         ValueError: If the two buffers have different lengths.
     """
-    if len(twin) != len(current):
+    size = len(twin)
+    if size != len(current):
         raise ValueError(
-            f"twin and current page must be the same size ({len(twin)} != {len(current)})"
+            f"twin and current page must be the same size ({size} != {len(current)})"
         )
     deltas: List[Delta] = []
-    run_start = -1
-    for index, (old, new) in enumerate(zip(twin, current)):
-        if old != new:
-            if run_start < 0:
-                run_start = index
-        elif run_start >= 0:
-            deltas.append(Delta(run_start, bytes(current[run_start:index])))
-            run_start = -1
-    if run_start >= 0:
-        deltas.append(Delta(run_start, bytes(current[run_start:])))
+    if twin == current:
+        return PageDiff(page=page, deltas=deltas)
+    changed = (
+        (int.from_bytes(twin, "big") ^ int.from_bytes(current, "big"))
+        .to_bytes(size, "big")
+        .translate(_NONZERO_TO_ONE)
+    )
+    start = changed.find(1)
+    while start >= 0:
+        end = changed.find(0, start)
+        if end < 0:
+            end = size
+        deltas.append(Delta(start, bytes(current[start:end])))
+        start = changed.find(1, end)
     return PageDiff(page=page, deltas=deltas)
 
 

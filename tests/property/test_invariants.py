@@ -2,12 +2,13 @@
 
 import random
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.compression.lz import compress, decompress
 from repro.core.algorithm import ProvenanceTracker
-from repro.core.dependencies import derive_data_edges
+from repro.core.dependencies import derive_data_edges, epoch_happens_before
 from repro.core.cpg import EdgeKind
 from repro.core.vector_clock import VectorClock, merge_all
 from repro.memory.address_space import SharedAddressSpace
@@ -19,6 +20,8 @@ from repro.memory.shared_commit import SharedMemoryCommitter
 from repro.pt.aux_buffer import AuxRingBuffer
 from repro.pt.decoder import PTDecoder
 from repro.pt.encoder import PTEncoder
+
+from helpers.oracles import derive_data_edges_reference, derived_edge_list, diff_page_reference
 
 # ---------------------------------------------------------------------- #
 # Strategies
@@ -88,6 +91,87 @@ class TestDiffProperties:
         diff = diff_page(0, twin, current)
         expected = sum(1 for a, b in zip(twin, current) if a != b)
         assert diff.modified_bytes == expected
+
+
+def _mutated_pages(size: int):
+    """``(twin, current)`` pairs of one size, ``current`` = ``twin`` + byte edits."""
+    return st.binary(min_size=size, max_size=size).flatmap(
+        lambda twin: st.lists(
+            st.tuples(st.integers(0, max(size - 1, 0)), st.integers(0, 255)),
+            max_size=24 if size else 0,
+        ).map(lambda edits: (twin, _apply_edits(twin, edits)))
+    )
+
+
+def _apply_edits(twin: bytes, edits) -> bytes:
+    current = bytearray(twin)
+    for offset, value in edits:
+        current[offset] = value
+    return bytes(current)
+
+
+class TestDiffMatchesByteLoopOracle:
+    """The C-speed ``diff_page`` yields exactly the deltas of the byte loop."""
+
+    @given(st.sampled_from([0, 1, 2, 3, 17, 256, 4096]).flatmap(_mutated_pages))
+    def test_random_edits_match_oracle(self, pair):
+        twin, current = pair
+        diff = diff_page(9, twin, current)
+        assert diff == diff_page_reference(9, twin, current)
+        assert all(type(delta.data) is bytes for delta in diff.deltas)
+
+    @given(st.binary(max_size=512), st.binary(max_size=512))
+    def test_unrelated_buffers_match_oracle(self, twin, current):
+        size = min(len(twin), len(current))
+        twin, current = twin[:size], current[:size]
+        assert diff_page(0, twin, current) == diff_page_reference(0, twin, current)
+
+    @given(st.binary(max_size=4096))
+    def test_equal_pages_give_no_deltas(self, data):
+        assert diff_page(0, data, bytes(data)).deltas == []
+        assert diff_page_reference(0, data, data).deltas == []
+
+    def test_empty_buffers(self):
+        assert diff_page(0, b"", b"") == diff_page_reference(0, b"", b"")
+        assert diff_page(0, b"", b"").is_empty()
+
+    def test_change_at_first_and_last_byte(self):
+        twin = bytes(4096)
+        current = b"\x01" + bytes(4094) + b"\x02"
+        diff = diff_page(0, twin, current)
+        assert diff == diff_page_reference(0, twin, current)
+        assert [(delta.offset, delta.data) for delta in diff.deltas] == [(0, b"\x01"), (4095, b"\x02")]
+
+    def test_whole_page_change(self):
+        twin, current = bytes(4096), b"\xff" * 4096
+        diff = diff_page(0, twin, current)
+        assert diff == diff_page_reference(0, twin, current)
+        assert [(delta.offset, delta.length) for delta in diff.deltas] == [(0, 4096)]
+
+    def test_alternating_bytes(self):
+        twin = bytes(4096)
+        current = b"\x07\x00" * 2048
+        diff = diff_page(0, twin, current)
+        assert diff == diff_page_reference(0, twin, current)
+        assert len(diff.deltas) == 2048
+        assert {delta.length for delta in diff.deltas} == {1}
+
+    def test_bytearray_current_gives_bytes_data(self):
+        twin = bytes(64)
+        current = bytearray(64)
+        current[10:13] = b"abc"
+        diff = diff_page(0, twin, current)
+        assert diff == diff_page_reference(0, twin, bytes(current))
+        assert type(diff.deltas[0].data) is bytes
+
+    @given(st.integers(0, 64), st.integers(0, 64))
+    def test_length_mismatch_raises(self, first, second):
+        if first == second:
+            second += 1
+        with pytest.raises(ValueError):
+            diff_page(0, bytes(first), bytes(second))
+        with pytest.raises(ValueError):
+            diff_page_reference(0, bytes(first), bytes(second))
 
 
 class TestCompressionProperties:
@@ -224,3 +308,87 @@ class TestCPGInvariantsUnderRandomSchedules:
         for source, target, attrs in cpg.edges(EdgeKind.DATA):
             assert attrs["pages"] <= cpg.subcomputation(source).write_set
             assert attrs["pages"] <= cpg.subcomputation(target).read_set
+
+
+def _random_program_cpg(seed: int):
+    """Record a random multi-threaded program with the tracker and finalize it.
+
+    Three to five threads take and drop two to four locks, spawn and join
+    children (start/exit tokens, as the threading facade does), and read
+    and write pages 0..7, of which 0 and 1 are program input.  Every step
+    is legal for the tracker: a lock is only released by its holder, and a
+    thread only exits holding nothing.
+    """
+    rng = random.Random(seed)
+    tracker = ProvenanceTracker()
+    tracker.register_input_pages({0, 1})
+    live = list(range(1, rng.randint(3, 5) + 1))
+    for tid in live:
+        tracker.on_thread_start(tid)
+    locks = [100 + k for k in range(rng.randint(2, 4))]
+    holder = {}
+    exited = {}
+    next_tid = len(live) + 1
+
+    def boundary(tid, operation, release=None, acquire=None):
+        tracker.on_sync_boundary(tid, operation)
+        if release is not None:
+            tracker.on_release(tid, release)
+        if acquire is not None:
+            tracker.on_acquire(tid, acquire)
+        tracker.begin_next(tid)
+
+    for _ in range(rng.randint(20, 120)):
+        tid = rng.choice(live)
+        roll = rng.random()
+        if roll < 0.5:
+            for _ in range(rng.randint(1, 3)):
+                tracker.on_memory_access(tid, rng.randint(0, 7), is_write=rng.random() < 0.5)
+        elif roll < 0.85:
+            lock = rng.choice(locks)
+            if lock not in holder:
+                boundary(tid, "mutex_lock", acquire=lock)
+                holder[lock] = tid
+            elif holder[lock] == tid:
+                boundary(tid, "mutex_unlock", release=lock)
+                del holder[lock]
+        elif roll < 0.92 and next_tid < 12:
+            child, token = next_tid, 1000 + next_tid
+            next_tid += 1
+            boundary(tid, "thread_create", release=token)
+            tracker.on_thread_start(child, parent_tid=tid, start_object_id=token)
+            live.append(child)
+        elif roll < 0.96 and len(live) > 1 and tid not in holder.values():
+            tracker.on_thread_end(tid)
+            tracker.on_release(tid, 2000 + tid, operation="thread_exit")
+            live.remove(tid)
+            exited[tid] = 2000 + tid
+        elif exited:
+            joined = rng.choice(sorted(exited))
+            boundary(tid, "thread_join", acquire=exited.pop(joined))
+    for tid in live:
+        tracker.on_thread_end(tid)
+    return tracker.finalize()
+
+
+class TestFastDeriveMatchesOracle:
+    """The epoch/writer-index derive equals the full-clock shadowing scan."""
+
+    @settings(suppress_health_check=[HealthCheck.too_slow], deadline=None, max_examples=60)
+    @given(st.integers(0, 1_000_000))
+    def test_data_edge_list_matches_oracle_in_order(self, seed):
+        cpg = _random_program_cpg(seed)
+        expected = derive_data_edges_reference(cpg)
+        assert derived_edge_list(cpg) == expected
+
+    @settings(suppress_health_check=[HealthCheck.too_slow], deadline=None, max_examples=60)
+    @given(st.integers(0, 1_000_000))
+    def test_epoch_test_agrees_with_full_clock_on_every_pair(self, seed):
+        cpg = _random_program_cpg(seed)
+        nodes = list(cpg.subcomputations())
+        assert cpg.input_node is not None
+        for first in nodes:
+            for second in nodes:
+                assert epoch_happens_before(first, second) == cpg.happens_before(
+                    first.node_id, second.node_id
+                ), (first.node_id, second.node_id)
