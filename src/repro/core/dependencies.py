@@ -34,9 +34,10 @@ on the reader's own thread), and only the last of that prefix can be
 maximal, so one ``bisect`` per writer thread yields at most one candidate
 per thread.  The candidates are then filtered to an antichain with the
 epoch test; the input node is used only when no other candidate remains.
-Sources are emitted in descending topological position, the order the
-shadowing scan over all earlier writers produced, so the CPG -- and every
-store segment written from it -- is byte-identical to that derivation.
+Sources are emitted in descending topological position.  That order fixes
+the order of the CPG's data edges and so the bytes of every store segment
+written from it; the tests hold it equal, call for call, to a reference
+derivation that compares every earlier writer with the full clocks.
 """
 
 from __future__ import annotations

@@ -10,9 +10,9 @@
 * :func:`diff_page_reference` is the original byte-by-byte twin/diff loop
   that :func:`repro.memory.diff.diff_page` replaced.
 
-Neither touches the CPG or memory it is given beyond reading, except that
-the derive oracle returns its edge list instead of adding it to the graph,
-so it can run on the same graph as the fast path.
+The derive oracle returns its edge list instead of adding it to the graph,
+so it can run on the same graph as the production derivation, whose calls
+:func:`derived_edge_list` records.
 """
 
 from __future__ import annotations
