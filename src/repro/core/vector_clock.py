@@ -34,6 +34,19 @@ class VectorClock:
                 if value > 0:
                     self._entries[int(tid)] = int(value)
 
+    @classmethod
+    def adopt(cls, entries: Dict[int, int]) -> "VectorClock":
+        """Wrap ``entries`` as a clock without copying or checking it.
+
+        The clock takes ownership of the dict.  For decoders that have
+        already checked every value is a positive ``int``; anything else
+        goes through the constructor, which drops zeros and rejects
+        negative components.
+        """
+        clock = cls.__new__(cls)
+        clock._entries = entries
+        return clock
+
     # ------------------------------------------------------------------ #
     # Component access
     # ------------------------------------------------------------------ #

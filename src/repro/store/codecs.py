@@ -32,6 +32,24 @@ Three codecs exist:
   milliseconds of the raw binary codec and parallel multi-segment sweeps
   can actually overlap.
 
+The binary codecs share one pair of bulk kernels, which pack and unpack
+whole columns instead of one integer at a time:
+
+* **Encode** sorts each node's clock keys, gathers every tid and every
+  value into two flat lists, and interleaves them into one ``array('q')``
+  with two slice assignments; the other columns are comprehensions handed
+  to ``array`` in one call each.
+* **Decode** unpacks each column with one ``frombytes`` and walks it with
+  a single iterator: a node's clock is ``dict(islice(zip(it, it), size))``
+  over the pair column (adopted as is when every value is positive, else
+  checked by :class:`VectorClock`), and its page sets and thunks are
+  ``islice`` runs over their columns.  Decoding is strict: bytes after the
+  last column, negative lengths, string references outside the table and
+  negative clock components all raise :class:`StoreError`.
+
+The tests keep a per-integer reference codec; the bulk encoder must emit
+its bytes exactly and the bulk decoder must rebuild the same graph.
+
 Frame-level compression is a codec property (:meth:`SegmentCodec.compress_frame`
 / :meth:`SegmentCodec.decompress_frame`), so the framing layer in
 :mod:`repro.store.segment` never special-cases a codec.
@@ -48,6 +66,7 @@ import struct
 import sys
 import zlib
 from array import array
+from itertools import islice
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.core.cpg import EdgeKind
@@ -68,6 +87,9 @@ EdgeTuple = Tuple[NodeId, NodeId, EdgeKind, dict]
 #: Stable one-byte encoding of :class:`EdgeKind` (order is part of the format).
 KIND_TO_CODE = {EdgeKind.CONTROL: 0, EdgeKind.SYNC: 1, EdgeKind.DATA: 2}
 CODE_TO_KIND = {code: kind for kind, code in KIND_TO_CODE.items()}
+_SYNC_CODE = KIND_TO_CODE[EdgeKind.SYNC]
+_DATA_CODE = KIND_TO_CODE[EdgeKind.DATA]
+_KIND_CODE_BYTES = bytes(sorted(CODE_TO_KIND))
 
 
 # ---------------------------------------------------------------------- #
@@ -169,10 +191,9 @@ def deref(strings: Sequence[str], ref: int):
     """Invert :meth:`StringInterner.ref` (0 -> ``None``)."""
     if ref == 0:
         return None
-    try:
-        return strings[ref - 1]
-    except IndexError as exc:
-        raise StoreError(f"string reference {ref} outside table of {len(strings)}") from exc
+    if not 0 < ref <= len(strings):
+        raise StoreError(f"string reference {ref} outside table of {len(strings)}")
+    return strings[ref - 1]
 
 
 # ---------------------------------------------------------------------- #
@@ -195,10 +216,25 @@ def _unpack_q(data: memoryview, pos: int, count: int) -> Tuple[array, int]:
     if end > len(data):
         raise StoreError("truncated int column (corrupt binary segment)")
     column = array("q")
-    column.frombytes(bytes(data[pos:end]))
+    column.frombytes(data[pos:end])
     if _NEEDS_SWAP:
         column.byteswap()
     return column, end
+
+
+def _unpack_sizes(data: memoryview, pos: int, count: int) -> Tuple[array, int]:
+    """An int column of per-record lengths (every entry must be >= 0)."""
+    column, pos = _unpack_q(data, pos, count)
+    if column and min(column) < 0:
+        raise StoreError("negative length in a size column (corrupt binary segment)")
+    return column, pos
+
+
+def _unpack_bytes(data: memoryview, pos: int, count: int, what: str) -> Tuple[bytes, int]:
+    end = pos + count
+    if end > len(data):
+        raise StoreError(f"truncated {what} (corrupt binary segment)")
+    return bytes(data[pos:end]), end
 
 
 def _pack_u32(value: int) -> bytes:
@@ -209,6 +245,10 @@ def _unpack_u32(data: memoryview, pos: int) -> Tuple[int, int]:
     if pos + 4 > len(data):
         raise StoreError("truncated count field (corrupt binary segment)")
     return _U32.unpack_from(data, pos)[0], pos + 4
+
+
+#: One sync edge's record: has-object-id flag, object id, operation ref.
+_SYNC_RECORD = struct.Struct("<Bqq")
 
 
 # ---------------------------------------------------------------------- #
@@ -350,97 +390,84 @@ class BinarySegmentCodec(SegmentCodec):
         ended = [interner.ref(node.ended_by) for node in nodes]
 
         clock_sizes: List[int] = []
-        clock_pairs: List[int] = []
-        read_sizes: List[int] = []
-        read_pages: List[int] = []
-        write_sizes: List[int] = []
-        write_pages: List[int] = []
-        thunk_counts: List[int] = []
-        thunk_indexes: List[int] = []
-        thunk_instructions: List[int] = []
-        thunk_flags = bytearray()
-        thunk_sites: List[int] = []
+        clock_tids: List[int] = []
+        clock_values: List[int] = []
         for node in nodes:
-            clock = sorted(node.clock.as_dict().items())
-            clock_sizes.append(len(clock))
-            for tid, value in clock:
-                clock_pairs.append(int(tid))
-                clock_pairs.append(int(value))
-            reads = sorted(node.read_set)
-            read_sizes.append(len(reads))
-            read_pages.extend(int(page) for page in reads)
-            writes = sorted(node.write_set)
-            write_sizes.append(len(writes))
-            write_pages.extend(int(page) for page in writes)
-            thunk_counts.append(len(node.thunks))
-            for thunk in node.thunks:
-                thunk_indexes.append(int(thunk.index))
-                thunk_instructions.append(int(thunk.instructions))
-                branch = thunk.start_branch
-                if branch is None:
-                    thunk_flags.append(0)
-                    thunk_sites.append(0)
-                else:
-                    thunk_flags.append(
-                        1 | (2 if branch.taken else 0) | (4 if branch.is_indirect else 0)
-                    )
-                    thunk_sites.append(int(branch.site))
+            entries = node.clock.as_dict()
+            tids = sorted(entries)
+            clock_sizes.append(len(tids))
+            clock_tids += tids
+            clock_values += map(entries.__getitem__, tids)
+        clock_pairs = array("q", bytes(16 * len(clock_tids)))
+        clock_pairs[0::2] = array("q", clock_tids)
+        clock_pairs[1::2] = array("q", clock_values)
 
-        endpoint_pairs: List[int] = []
-        target_pairs: List[int] = []
-        kind_codes = bytearray()
+        reads = [sorted(node.read_set) for node in nodes]
+        writes = [sorted(node.write_set) for node in nodes]
+        thunk_counts = [len(node.thunks) for node in nodes]
+        thunks = [thunk for node in nodes for thunk in node.thunks]
+        branches = [thunk.start_branch for thunk in thunks]
+        thunk_flags = bytes(
+            [
+                0
+                if branch is None
+                else 1 | (2 if branch.taken else 0) | (4 if branch.is_indirect else 0)
+                for branch in branches
+            ]
+        )
+
+        try:
+            kind_codes = bytes([KIND_TO_CODE[edge[2]] for edge in edges])
+        except KeyError as exc:
+            raise StoreError(f"unknown edge kind {exc.args[0]!r}") from exc
         sync_block = bytearray()
         data_sizes: List[int] = []
         data_pages: List[int] = []
-        for source, target, kind, attrs in edges:
-            try:
-                kind_codes.append(KIND_TO_CODE[kind])
-            except KeyError as exc:
-                raise StoreError(f"unknown edge kind {kind!r}") from exc
-            endpoint_pairs.extend((int(source[0]), int(source[1])))
-            target_pairs.extend((int(target[0]), int(target[1])))
+        for _, _, kind, attrs in edges:
             if kind is EdgeKind.SYNC:
                 object_id = attrs.get("object_id")
                 if object_id is None:
-                    sync_block += b"\x00" + _pack_q((0,))
+                    has_object, object_id = 0, 0
                 elif isinstance(object_id, int) and not isinstance(object_id, bool):
-                    sync_block += b"\x01" + _pack_q((object_id,))
+                    has_object = 1
                 else:
                     raise StoreError(
                         f"binary codec requires integer sync object ids, got {object_id!r} "
                         f"(use the json codec for this payload)"
                     )
-                sync_block += _pack_q((interner.ref(attrs.get("operation", "")),))
+                sync_block += _SYNC_RECORD.pack(
+                    has_object, object_id, interner.ref(attrs.get("operation", ""))
+                )
             elif kind is EdgeKind.DATA:
                 pages = sorted(attrs.get("pages", ()))
                 data_sizes.append(len(pages))
-                data_pages.extend(int(page) for page in pages)
+                data_pages += pages
 
         out = bytearray()
         out.append(_BINARY_PAYLOAD_VERSION)
         write_string_table(out, interner.strings)
         out += _pack_u32(len(nodes))
-        out += _pack_q(node.tid for node in nodes)
-        out += _pack_q(node.index for node in nodes)
-        out += _pack_q(node.faults for node in nodes)
+        out += _pack_q([node.tid for node in nodes])
+        out += _pack_q([node.index for node in nodes])
+        out += _pack_q([node.faults for node in nodes])
         out += _pack_q(started)
         out += _pack_q(ended)
         out += _pack_q(clock_sizes)
         out += _pack_q(clock_pairs)
-        out += _pack_q(read_sizes)
-        out += _pack_q(read_pages)
-        out += _pack_q(write_sizes)
-        out += _pack_q(write_pages)
+        out += _pack_q([len(pages) for pages in reads])
+        out += _pack_q([page for pages in reads for page in pages])
+        out += _pack_q([len(pages) for pages in writes])
+        out += _pack_q([page for pages in writes for page in pages])
         out += _pack_q(thunk_counts)
-        out += _pack_q(thunk_indexes)
-        out += _pack_q(thunk_instructions)
-        out += bytes(thunk_flags)
-        out += _pack_q(thunk_sites)
+        out += _pack_q([thunk.index for thunk in thunks])
+        out += _pack_q([thunk.instructions for thunk in thunks])
+        out += thunk_flags
+        out += _pack_q([0 if branch is None else branch.site for branch in branches])
         out += _pack_u32(len(edges))
-        out += _pack_q(endpoint_pairs)
-        out += _pack_q(target_pairs)
-        out += bytes(kind_codes)
-        out += bytes(sync_block)
+        out += _pack_q([part for edge in edges for part in edge[0]])
+        out += _pack_q([part for edge in edges for part in edge[1]])
+        out += kind_codes
+        out += sync_block
         out += _pack_q(data_sizes)
         out += _pack_q(data_pages)
         return bytes(out)
@@ -459,110 +486,97 @@ class BinarySegmentCodec(SegmentCodec):
         faults, pos = _unpack_q(data, pos, node_count)
         started, pos = _unpack_q(data, pos, node_count)
         ended, pos = _unpack_q(data, pos, node_count)
-        clock_sizes, pos = _unpack_q(data, pos, node_count)
+        clock_sizes, pos = _unpack_sizes(data, pos, node_count)
         clock_pairs, pos = _unpack_q(data, pos, 2 * sum(clock_sizes))
-        read_sizes, pos = _unpack_q(data, pos, node_count)
+        read_sizes, pos = _unpack_sizes(data, pos, node_count)
         read_pages, pos = _unpack_q(data, pos, sum(read_sizes))
-        write_sizes, pos = _unpack_q(data, pos, node_count)
+        write_sizes, pos = _unpack_sizes(data, pos, node_count)
         write_pages, pos = _unpack_q(data, pos, sum(write_sizes))
-        thunk_counts, pos = _unpack_q(data, pos, node_count)
+        thunk_counts, pos = _unpack_sizes(data, pos, node_count)
         thunk_total = sum(thunk_counts)
         thunk_indexes, pos = _unpack_q(data, pos, thunk_total)
         thunk_instructions, pos = _unpack_q(data, pos, thunk_total)
-        if pos + thunk_total > len(data):
-            raise StoreError("truncated branch flags (corrupt binary segment)")
-        thunk_flags = bytes(data[pos : pos + thunk_total])
-        pos += thunk_total
+        thunk_flags, pos = _unpack_bytes(data, pos, thunk_total, "branch flags")
         thunk_sites, pos = _unpack_q(data, pos, thunk_total)
 
+        # Every per-node slice is an islice over one shared column
+        # iterator, so each column is walked once, at C speed.
+        pair_iter = iter(clock_pairs)
+        pairs = zip(pair_iter, pair_iter)
+        read_iter = iter(read_pages)
+        write_iter = iter(write_pages)
+        branches = [
+            BranchRecord(site, bool(flags & 2), bool(flags & 4)) if flags & 1 else None
+            for flags, site in zip(thunk_flags, thunk_sites)
+        ]
+        thunk_iter = map(Thunk, thunk_indexes, branches, thunk_instructions)
         nodes: List[SubComputation] = []
-        clock_at = read_at = write_at = thunk_at = 0
+        append = nodes.append
         for position in range(node_count):
-            size = clock_sizes[position]
-            clock = {
-                clock_pairs[2 * (clock_at + entry)]: clock_pairs[2 * (clock_at + entry) + 1]
-                for entry in range(size)
-            }
-            clock_at += size
-            node = SubComputation(
-                tid=tids[position],
-                index=indexes[position],
-                clock=VectorClock(clock),
-                started_by=deref(strings, started[position]),
-                ended_by=deref(strings, ended[position]),
-                faults=faults[position],
+            entries = dict(islice(pairs, clock_sizes[position]))
+            if min(entries.values(), default=1) > 0:
+                clock = VectorClock.adopt(entries)
+            else:
+                try:
+                    clock = VectorClock(entries)  # drops zeros, rejects negatives
+                except ValueError as exc:
+                    raise StoreError(f"invalid clock in binary segment: {exc}") from exc
+            append(
+                SubComputation(
+                    tids[position],
+                    indexes[position],
+                    clock,
+                    set(islice(read_iter, read_sizes[position])),
+                    set(islice(write_iter, write_sizes[position])),
+                    list(islice(thunk_iter, thunk_counts[position])),
+                    deref(strings, started[position]),
+                    deref(strings, ended[position]),
+                    faults[position],
+                )
             )
-            size = read_sizes[position]
-            node.read_set.update(read_pages[read_at : read_at + size])
-            read_at += size
-            size = write_sizes[position]
-            node.write_set.update(write_pages[write_at : write_at + size])
-            write_at += size
-            for entry in range(thunk_counts[position]):
-                flags = thunk_flags[thunk_at + entry]
-                branch = (
-                    BranchRecord(
-                        site=thunk_sites[thunk_at + entry],
-                        taken=bool(flags & 2),
-                        is_indirect=bool(flags & 4),
-                    )
-                    if flags & 1
-                    else None
-                )
-                node.thunks.append(
-                    Thunk(
-                        index=thunk_indexes[thunk_at + entry],
-                        start_branch=branch,
-                        instructions=thunk_instructions[thunk_at + entry],
-                    )
-                )
-            thunk_at += thunk_counts[position]
-            nodes.append(node)
 
         edge_count, pos = _unpack_u32(data, pos)
         sources, pos = _unpack_q(data, pos, 2 * edge_count)
         targets, pos = _unpack_q(data, pos, 2 * edge_count)
-        if pos + edge_count > len(data):
-            raise StoreError("truncated edge kinds (corrupt binary segment)")
-        kind_codes = bytes(data[pos : pos + edge_count])
-        pos += edge_count
-        sync_fields: List[Tuple[object, str]] = []
-        for code in kind_codes:
-            if code == KIND_TO_CODE[EdgeKind.SYNC]:
-                if pos + 17 > len(data):
-                    raise StoreError("truncated sync edge block (corrupt binary segment)")
-                has_object = data[pos]
-                object_column, next_pos = _unpack_q(data, pos + 1, 1)
-                ref_column, next_pos = _unpack_q(data, next_pos, 1)
-                operation = deref(strings, ref_column[0])
-                sync_fields.append(
-                    (object_column[0] if has_object else None, operation if operation is not None else "")
-                )
-                pos = next_pos
-        data_count = sum(1 for code in kind_codes if code == KIND_TO_CODE[EdgeKind.DATA])
-        data_sizes, pos = _unpack_q(data, pos, data_count)
+        kind_codes, pos = _unpack_bytes(data, pos, edge_count, "edge kinds")
+        unknown = kind_codes.translate(None, _KIND_CODE_BYTES)
+        if unknown:
+            raise StoreError(f"unknown edge kind code {unknown[0]}")
+        sync_records, pos = _unpack_bytes(
+            data, pos, _SYNC_RECORD.size * kind_codes.count(_SYNC_CODE), "sync edge block"
+        )
+        data_sizes, pos = _unpack_sizes(data, pos, kind_codes.count(_DATA_CODE))
         data_pages, pos = _unpack_q(data, pos, sum(data_sizes))
-
+        if pos != len(data):
+            raise StoreError(
+                f"{len(data) - pos} bytes after the last column (corrupt binary segment)"
+            )
+        sync_attrs = iter(
+            [
+                {
+                    "object_id": object_id if has_object else None,
+                    "operation": deref(strings, ref) or "",
+                }
+                for has_object, object_id, ref in _SYNC_RECORD.iter_unpack(sync_records)
+            ]
+        )
+        page_iter = iter(data_pages)
+        data_attrs = (
+            {"pages": frozenset(islice(page_iter, size))} for size in data_sizes
+        )
+        source_iter = iter(sources)
+        target_iter = iter(targets)
         edges: List[EdgeTuple] = []
-        sync_at = data_at = page_at = 0
-        for position, code in enumerate(kind_codes):
-            try:
-                kind = CODE_TO_KIND[code]
-            except KeyError as exc:
-                raise StoreError(f"unknown edge kind code {code}") from exc
-            source = (sources[2 * position], sources[2 * position + 1])
-            target = (targets[2 * position], targets[2 * position + 1])
-            attrs: dict = {}
-            if kind is EdgeKind.SYNC:
-                object_id, operation = sync_fields[sync_at]
-                sync_at += 1
-                attrs = {"object_id": object_id, "operation": operation}
-            elif kind is EdgeKind.DATA:
-                size = data_sizes[data_at]
-                data_at += 1
-                attrs = {"pages": frozenset(data_pages[page_at : page_at + size])}
-                page_at += size
-            edges.append((source, target, kind, attrs))
+        for source, target, code in zip(
+            zip(source_iter, source_iter), zip(target_iter, target_iter), kind_codes
+        ):
+            if code == _SYNC_CODE:
+                attrs = next(sync_attrs)
+            elif code == _DATA_CODE:
+                attrs = next(data_attrs)
+            else:
+                attrs = {}
+            edges.append((source, target, CODE_TO_KIND[code], attrs))
         return nodes, edges
 
 

@@ -92,7 +92,7 @@ def encode_segment(
     edges: Iterable[EdgeTuple],
     codec: Optional[str] = None,
 ) -> Tuple[bytes, int]:
-    """Serialize one segment with ``codec`` (default: the v4 binary codec).
+    """Serialize one segment with ``codec`` (default: ``binary-z``, the v6 default).
 
     Returns:
         ``(framed bytes, raw payload size)`` -- the raw size feeds the
@@ -116,6 +116,16 @@ def segment_codec_name(data: bytes) -> str:
     if len(data) < _HEADER_SIZE or not data.startswith(SEGMENT_MAGIC_PREFIX):
         raise StoreError("not a provenance-store segment (bad magic)")
     return codec_by_frame_byte(data[len(SEGMENT_MAGIC_PREFIX)]).name
+
+
+def frame_header(data: bytes) -> Tuple[str, int, bool]:
+    """``(codec name, raw payload size, carries a CRC32)`` of the frame ``data``.
+
+    Reads the header only; :func:`decode_segment` is what checks the
+    checksum and the raw size against the body.
+    """
+    chosen, raw_length, stored_crc, _ = _split_frame(data)
+    return chosen.name, raw_length, stored_crc is not None
 
 
 def _split_frame(data: bytes):
@@ -165,7 +175,7 @@ def decode_segment(data: bytes) -> SegmentPayload:
 
     Raises:
         StoreError: If the framing, checksum, compression, or payload is
-            corrupt.
+            corrupt, or the payload holds one node id twice.
     """
     chosen, raw_length, stored_crc, body = _split_frame(data)
     if stored_crc is not None:
@@ -181,4 +191,7 @@ def decode_segment(data: bytes) -> SegmentPayload:
             f"segment length mismatch: header says {raw_length} bytes, got {len(raw)}"
         )
     nodes, edges = chosen.decode_payload(raw)
-    return SegmentPayload.build(nodes, edges)
+    payload = SegmentPayload.build(nodes, edges)
+    if len(payload.nodes) != len(nodes):
+        raise StoreError("segment payload holds a node id more than once")
+    return payload

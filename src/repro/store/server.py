@@ -91,7 +91,7 @@ from repro.store.format import (
     run_index_dir_name,
 )
 from repro.store.query import StoreQueryEngine
-from repro.store.segment import EdgeTuple, decode_segment, encode_segment
+from repro.store.segment import EdgeTuple, decode_segment, encode_segment, frame_header
 from repro.store.store import (
     _INDEX_BASE_RE,
     _INDEX_DELTA_RE,
@@ -796,6 +796,13 @@ class StoreServer:
         reply is only written after the flush committed -- a slow flush
         stalls exactly the client that caused it (back-pressure), never a
         concurrent reader.
+
+        An ``append_epoch`` frame is CRC-verified and decoded in full (the
+        indexes, the collision check and the cache need its nodes).  A
+        checksummed frame already in the target codec -- the request's
+        ``codec``, else the store's default -- is then sealed verbatim,
+        with no second encode; any other frame is re-encoded into the
+        target codec.
         """
         if self._writer is None:
             raise StoreReadOnlyError(
@@ -825,13 +832,24 @@ class StoreServer:
                     data = base64.b64decode(str(request["segment"]), validate=True)
                 except (binascii.Error, ValueError) as exc:
                     raise StoreError(f"append_epoch segment is not valid base64: {exc}") from exc
-                payload = decode_segment(data)
-                segment_id = writer.append_segment(
-                    list(payload.nodes.values()),  # insertion order = encode order
-                    payload.edges,
-                    run=run_id,
-                    codec=request.get("codec"),
-                )
+                try:
+                    payload = decode_segment(data)
+                except StoreError as exc:
+                    raise StoreError(
+                        f"append_epoch segment for run {run_id} is corrupt: {exc}"
+                    ) from exc
+                nodes = list(payload.nodes.values())  # insertion order = encode order
+                codec = request.get("codec")
+                target = codec if codec is not None else writer.default_codec
+                codec_name, raw_bytes, checksummed = frame_header(data)
+                if codec_name == target and checksummed:
+                    segment_id = writer.seal_segment(
+                        data, raw_bytes, nodes, payload.edges, run=run_id
+                    )
+                else:
+                    segment_id = writer.append_segment(
+                        nodes, payload.edges, run=run_id, codec=target
+                    )
                 writer.flush()  # one O(epoch) log record; the reply waits on it
                 self._ingests[run_id]["epochs"] += 1
                 with self._counter_lock:
@@ -1229,6 +1247,9 @@ class StoreClient:
         The payload travels as the store's own codec frame (base64 over
         the JSON line); the call returns only after the server flushed
         the epoch durably -- the synchronous reply is the back-pressure.
+        A frame in the store's codec is sealed verbatim: the server
+        verifies and decodes it but does not encode it again, so the
+        segment file holds exactly the bytes encoded here.
         """
         framed, _ = encode_segment(nodes, edges, codec=codec)
         return self.result(

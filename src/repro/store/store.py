@@ -71,7 +71,7 @@ from repro.core.thunk import SubComputation
 from repro.errors import CorruptSegmentError, StoreError
 
 from repro.store.cache import IndexPinner, ReadScope, SegmentCache
-from repro.store.codecs import DEFAULT_CODEC, codec_by_name
+from repro.store.codecs import DEFAULT_CODEC
 from repro.store.format import (
     DEFAULT_CHECKPOINT_INTERVAL,
     DEFAULT_SEGMENT_NODES,
@@ -96,7 +96,13 @@ from repro.store.format import (
 )
 from repro.store.indexes import LEGACY_INDEX_FILES, StoreIndexes
 from repro.store.log import SegmentLog
-from repro.store.segment import EdgeTuple, SegmentPayload, decode_segment, encode_segment
+from repro.store.segment import (
+    EdgeTuple,
+    SegmentPayload,
+    decode_segment,
+    encode_segment,
+    segment_codec_name,
+)
 
 _SEGMENT_FILE_RE = re.compile(r"^seg-(\d{8})\.seg$")
 _RUN_DIR_RE = re.compile(r"^run-(\d{8})$")
@@ -891,22 +897,45 @@ class ProvenanceStore:
         topo_positions: Optional[Sequence[int]] = None,
         codec: Optional[str] = None,
     ) -> int:
-        """Seal ``nodes`` + ``edges`` into a new segment of ``run``.
+        """Encode ``nodes`` + ``edges`` and seal them as a new segment of ``run``.
 
         The payload is encoded with ``codec`` (default: the store's
-        ``default_codec``).  Topological ranks default to arrival order
-        (the run's ``next_topo`` onwards); the whole-graph ingest path
-        passes explicit ranks from
+        ``default_codec``); :meth:`seal_segment` does the rest.
+        """
+        codec_name = codec if codec is not None else self.default_codec
+        framed, raw_bytes = encode_segment(nodes, edges, codec=codec_name)
+        return self.seal_segment(
+            framed, raw_bytes, nodes, edges, run=run, topo_positions=topo_positions
+        )
+
+    def seal_segment(
+        self,
+        framed: bytes,
+        raw_bytes: int,
+        nodes: Sequence[SubComputation],
+        edges: Sequence[EdgeTuple],
+        run: Optional[int] = None,
+        topo_positions: Optional[Sequence[int]] = None,
+    ) -> int:
+        """Write the encoded segment ``framed`` as a new segment of ``run``.
+
+        ``framed`` must be the frame of exactly ``nodes`` + ``edges``
+        (``raw_bytes`` its uncompressed payload size): they feed the
+        indexes and the decoded-segment cache, and the frame's codec is
+        recorded in the manifest.  :meth:`append_segment` passes its own
+        encoding; a writable server passes a client's frame it has
+        already verified and decoded.  Topological ranks default to
+        arrival order (the run's ``next_topo`` onwards); the whole-graph
+        ingest path passes explicit ranks from
         :meth:`ConcurrentProvenanceGraph.topological_order` instead.
 
         The manifest and indexes are only updated in memory; call
         :meth:`flush` once the batch of appends is complete.
         """
+        codec_name = segment_codec_name(framed)  # checks the frame before any write
         run_id = self.resolve_run(run)
         run_info = self.manifest.run_info(run_id)
         indexes = self.run_indexes[run_id]
-        codec_name = codec if codec is not None else self.default_codec
-        codec_by_name(codec_name)  # validates before any file is written
         if topo_positions is None:
             topo_positions = range(run_info.next_topo, run_info.next_topo + len(nodes))
         elif len(topo_positions) != len(nodes):
@@ -925,7 +954,6 @@ class ProvenanceStore:
                 )
             batch_ids.add(node.node_id)
         segment_id = self.manifest.next_segment_id
-        framed, raw_bytes = encode_segment(nodes, edges, codec=codec_name)
         with open(os.path.join(self.path, SEGMENTS_DIR, segment_file_name(segment_id)), "wb") as handle:
             handle.write(framed)
         self.manifest.next_segment_id += 1

@@ -1,0 +1,256 @@
+"""Remote ingest seals a client's frame verbatim; binary decoding is strict.
+
+A writable server CRC-verifies and decodes every ``append_epoch`` frame
+(its indexes, the collision check and the cache need the nodes), then
+writes a checksummed frame that is already in the target codec as it
+arrived, without encoding it again.  These tests check that the segment
+files stay byte-identical to a local ingest, that the server makes no
+encode call for such frames, that every other frame is still re-encoded,
+and that a corrupt frame -- trailing bytes, a negative clock component,
+a repeated node -- is refused with a typed error before anything is
+written.
+"""
+
+import base64
+import os
+import zlib
+
+import pytest
+
+from repro.core.cpg import EdgeKind
+from repro.core.thunk import SubComputation
+from repro.core.vector_clock import VectorClock
+from repro.errors import CorruptSegmentError, StoreError
+from repro.inspector.api import run_with_provenance
+from repro.store import ProvenanceStore, StoreClient, StoreServer
+from repro.store import store as store_module
+from repro.store.codecs import CODECS, CRC_FRAME_FLAG
+from repro.store.format import SEGMENT_MAGIC_PREFIX, SEGMENTS_DIR
+from repro.store.segment import decode_segment, encode_segment, frame_header
+
+
+def frame(raw: bytes, codec: str = "binary", checksummed: bool = True) -> bytes:
+    """Frame an arbitrary payload exactly as ``encode_segment`` frames one."""
+    chosen = CODECS[codec]
+    body = chosen.compress_frame(raw)
+    if not checksummed:
+        header = SEGMENT_MAGIC_PREFIX + bytes((chosen.frame_byte,))
+        return header + len(raw).to_bytes(8, "little") + body
+    return (
+        SEGMENT_MAGIC_PREFIX
+        + bytes((chosen.frame_byte | CRC_FRAME_FLAG,))
+        + len(raw).to_bytes(8, "little")
+        + (zlib.crc32(body) & 0xFFFFFFFF).to_bytes(4, "little")
+        + body
+    )
+
+
+def epoch(first_index: int = 0, count: int = 3):
+    nodes = [
+        SubComputation(1, index, VectorClock({1: index + 1, 2: 4}), {index}, {100 + index})
+        for index in range(first_index, first_index + count)
+    ]
+    edges = [
+        ((1, index - 1), (1, index), EdgeKind.CONTROL, {})
+        for index in range(first_index + 1, first_index + count)
+    ]
+    edges.append(((2, 0), nodes[0].node_id, EdgeKind.SYNC, {"object_id": None, "operation": "x"}))
+    edges.append(((2, 0), nodes[-1].node_id, EdgeKind.DATA, {"pages": frozenset()}))
+    return nodes, edges
+
+
+def negative_clock_frame() -> bytes:
+    node = SubComputation(1, 0, VectorClock.adopt({1: 1, 2: -3}))
+    return encode_segment([node], [], codec="binary-z")[0]
+
+
+def trailing_bytes_frame() -> bytes:
+    nodes, edges = epoch()
+    return frame(CODECS["binary"].encode_payload(nodes, edges) + b"\x00", codec="binary-z")
+
+
+def segment_files(store_dir):
+    with ProvenanceStore.open(str(store_dir)) as store:
+        infos = list(store.manifest.segments)
+    return [
+        open(os.path.join(str(store_dir), SEGMENTS_DIR, info.file_name), "rb").read()
+        for info in infos
+    ]
+
+
+@pytest.fixture()
+def writable(tmp_path):
+    """An empty writable server; yields (dir, server, client)."""
+    store_dir = str(tmp_path / "remote")
+    ProvenanceStore.create(store_dir)
+    server = StoreServer(store_dir, writable=True)
+    host, port = server.start()
+    yield store_dir, server, StoreClient(host, port, timeout=10.0)
+    server.close()
+
+
+@pytest.fixture()
+def server_encodes(monkeypatch):
+    """Counts ``encode_segment`` calls made by the store (the server side).
+
+    The client encodes through ``repro.store.server``'s binding of the
+    same function, which this counter does not see.
+    """
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("codec"))
+        return encode_segment(*args, **kwargs)
+
+    monkeypatch.setattr(store_module, "encode_segment", counted)
+    return calls
+
+
+class TestVerbatimSeal:
+    def test_remote_run_is_byte_identical_to_the_local_sink(
+        self, writable, tmp_path, server_encodes
+    ):
+        store_dir, server, client = writable
+        local = run_with_provenance(
+            "kmeans", num_threads=4, size="small", seed=5, store_path=str(tmp_path / "local")
+        )
+        encodes_by_local_run = len(server_encodes)
+        remote = run_with_provenance(
+            "kmeans",
+            num_threads=4,
+            size="small",
+            seed=5,
+            store_url=f"{client.host}:{client.port}",
+        )
+        assert remote.store_run_id == local.store_run_id == 1
+        local_files = segment_files(tmp_path / "local")
+        remote_files = segment_files(store_dir)
+        assert len(local_files) > 1
+        assert remote_files == local_files
+        # The deterministic gate: the server sealed every store-codec
+        # frame without a single encode call of its own.
+        assert encodes_by_local_run == len(local_files)
+        assert len(server_encodes) == encodes_by_local_run
+        assert server.server_stats()["epochs_ingested"] == len(remote_files)
+        with ProvenanceStore.open(store_dir) as store:
+            assert {info.codec for info in store.manifest.segments} == {"binary-z"}
+
+    def test_binary_frame_to_a_binary_z_store_is_reencoded(self, writable, server_encodes):
+        store_dir, _, client = writable
+        run_id = client.begin_run(workload="w")
+        nodes, edges = epoch()
+        framed, _ = encode_segment(nodes, edges, codec="binary")
+        reply = client.request(
+            "append_epoch", run=run_id, segment=base64.b64encode(framed).decode("ascii")
+        )
+        assert reply["result"]["nodes"] == len(nodes)
+        assert server_encodes == ["binary-z"]
+        with ProvenanceStore.open(store_dir) as store:
+            (info,) = store.manifest.segments
+            assert info.codec == "binary-z"
+            assert info.raw_bytes == encode_segment(nodes, edges, codec="binary-z")[1]
+        assert segment_files(store_dir) == [encode_segment(nodes, edges, codec="binary-z")[0]]
+
+    def test_request_codec_names_the_target(self, writable, server_encodes):
+        store_dir, _, client = writable
+        run_id = client.begin_run(workload="w")
+        nodes, edges = epoch()
+        client.append_epoch(run_id, nodes, edges, codec="binary")
+        assert server_encodes == []
+        framed, raw_bytes = encode_segment(nodes, edges, codec="binary")
+        assert segment_files(store_dir) == [framed]
+        with ProvenanceStore.open(store_dir) as store:
+            (info,) = store.manifest.segments
+            assert info.codec == "binary"
+            assert (info.raw_bytes, info.stored_bytes) == (raw_bytes, len(framed))
+            assert info.crc == zlib.crc32(framed) & 0xFFFFFFFF
+
+    def test_unchecksummed_frame_is_reencoded_with_a_checksum(self, writable, server_encodes):
+        store_dir, _, client = writable
+        run_id = client.begin_run(workload="w")
+        nodes, edges = epoch()
+        legacy = frame(CODECS["binary"].encode_payload(nodes, edges), "binary-z", checksummed=False)
+        assert frame_header(legacy)[2] is False
+        client.request(
+            "append_epoch", run=run_id, segment=base64.b64encode(legacy).decode("ascii")
+        )
+        assert server_encodes == ["binary-z"]
+        (stored,) = segment_files(store_dir)
+        assert stored == encode_segment(nodes, edges, codec="binary-z")[0]
+        assert frame_header(stored)[2] is True
+
+
+def assert_refused(server, store_dir, framed, match):
+    """The server replies ``ok: false`` and writes no segment and no log record."""
+    run_id = server.handle_request({"op": "begin_run", "workload": "w"})["result"]["run"]
+    segments_dir = os.path.join(store_dir, SEGMENTS_DIR)
+    files_before = sorted(os.listdir(segments_dir))
+    log_before = server._writer.log_state()
+    reply = server.handle_request(
+        {"op": "append_epoch", "run": run_id, "segment": base64.b64encode(framed).decode("ascii")}
+    )
+    assert reply["ok"] is False
+    assert reply["code"] == "bad_request"
+    assert "bad request parameters" not in reply["error"]
+    assert f"segment for run {run_id} is corrupt" in reply["error"]
+    assert match in reply["error"]
+    assert sorted(os.listdir(segments_dir)) == files_before
+    assert server._writer.log_state() == log_before
+    assert server._writer.manifest.segments == []
+
+
+class TestStrictDecode:
+    def test_trailing_bytes_are_corruption(self):
+        with pytest.raises(StoreError, match="bytes after the last column"):
+            decode_segment(trailing_bytes_frame())
+
+    def test_negative_clock_component_is_corruption(self):
+        with pytest.raises(StoreError, match="invalid clock") as caught:
+            decode_segment(negative_clock_frame())
+        assert not isinstance(caught.value, ValueError)
+
+    def test_repeated_node_is_corruption(self):
+        nodes, edges = epoch()
+        framed, _ = encode_segment(nodes + nodes[:1], edges)
+        with pytest.raises(StoreError, match="more than once"):
+            decode_segment(framed)
+
+    @pytest.mark.parametrize(
+        "make,match",
+        [
+            (trailing_bytes_frame, "bytes after the last column"),
+            (negative_clock_frame, "invalid clock"),
+        ],
+    )
+    def test_server_refuses_the_frame_and_writes_nothing(self, writable, make, match):
+        store_dir, server, _ = writable
+        assert_refused(server, store_dir, make(), match)
+
+    def test_server_refuses_a_repeated_node(self, writable):
+        store_dir, server, _ = writable
+        nodes, edges = epoch()
+        repeated, _ = encode_segment(nodes + nodes[:1], edges)
+        assert_refused(server, store_dir, repeated, "more than once")
+
+    @pytest.mark.parametrize(
+        "make,match",
+        [
+            (trailing_bytes_frame, "bytes after the last column"),
+            (negative_clock_frame, "invalid clock"),
+        ],
+    )
+    def test_cold_read_names_the_corrupt_segment(self, tmp_path, make, match):
+        store_dir = str(tmp_path / "store")
+        store = ProvenanceStore.create(store_dir)
+        run_id = store.new_run(workload="w")
+        store.append_segment(*epoch(), run=run_id)
+        framed = make()
+        _, raw_bytes, _ = frame_header(framed)
+        # seal_segment trusts its caller, so it can plant the damage.
+        bad = store.seal_segment(framed, raw_bytes, *epoch(10), run=run_id)
+        store.flush()
+        cold = ProvenanceStore.open(store_dir)
+        with pytest.raises(CorruptSegmentError, match=f"segment {bad} is corrupt") as caught:
+            cold.segment(bad)
+        assert match in str(caught.value)
+        assert caught.value.segment_id == bad
