@@ -187,37 +187,46 @@ class ConcurrentProvenanceGraph:
 
     def ancestors(self, node_id: NodeId, kinds: Optional[Sequence[EdgeKind]] = None) -> Set[NodeId]:
         """Every vertex from which ``node_id`` is reachable through edges of ``kinds``."""
-        return self._closure(node_id, kinds, forward=False)
+        return self._closure((node_id,), kinds, forward=False)
 
     def descendants(self, node_id: NodeId, kinds: Optional[Sequence[EdgeKind]] = None) -> Set[NodeId]:
         """Every vertex reachable from ``node_id`` through edges of ``kinds``."""
-        return self._closure(node_id, kinds, forward=True)
+        return self._closure((node_id,), kinds, forward=True)
+
+    def _neighbours(
+        self, node_id: NodeId, allowed: Optional[Set[EdgeKind]], forward: bool
+    ) -> List[NodeId]:
+        """One expansion step: vertices one ``allowed``-kind edge away."""
+        adjacency = self._graph.succ if forward else self._graph.pred
+        return [
+            nxt
+            for nxt, parallel in adjacency[node_id].items()
+            if allowed is None or any(attrs.get("kind") in allowed for attrs in parallel.values())
+        ]
 
     def _closure(
-        self, node_id: NodeId, kinds: Optional[Sequence[EdgeKind]], forward: bool
+        self, starts: Iterable[NodeId], kinds: Optional[Sequence[EdgeKind]], forward: bool
     ) -> Set[NodeId]:
-        if node_id not in self._subcomputations:
-            raise ProvenanceError(f"no sub-computation {node_id} in the CPG")
+        """Vertices reachable from any of ``starts`` through edges of ``kinds``.
+
+        One walk with one visited set shared by every start, so each
+        vertex is expanded exactly once and the cost is linear in the
+        answer however many starts share its ancestry.  The starts
+        themselves are never part of the result.
+        """
+        starts = set(starts)
+        for node_id in starts:
+            if node_id not in self._subcomputations:
+                raise ProvenanceError(f"no sub-computation {node_id} in the CPG")
         allowed = set(kinds) if kinds is not None else None
-        seen: Set[NodeId] = set()
-        frontier = [node_id]
+        reached: Set[NodeId] = set()
+        frontier = list(starts)
         while frontier:
-            current = frontier.pop()
-            if forward:
-                neighbours = self._graph.out_edges(current, data=True)
-                step = lambda edge: edge[1]  # noqa: E731 - tiny local helper
-            else:
-                neighbours = self._graph.in_edges(current, data=True)
-                step = lambda edge: edge[0]  # noqa: E731
-            for edge in neighbours:
-                attrs = edge[2]
-                if allowed is not None and attrs.get("kind") not in allowed:
-                    continue
-                nxt = step(edge)
-                if nxt not in seen and nxt != node_id:
-                    seen.add(nxt)
+            for nxt in self._neighbours(frontier.pop(), allowed, forward):
+                if nxt not in reached and nxt not in starts:
+                    reached.add(nxt)
                     frontier.append(nxt)
-        return seen
+        return reached
 
     # ------------------------------------------------------------------ #
     # Export and summary

@@ -61,11 +61,14 @@ def lineage_of_pages(cpg: ConcurrentProvenanceGraph, pages: Iterable[int]) -> Se
 
     Returns the sub-computations that wrote any of the pages plus everything
     those writers transitively depend on through data edges -- the paper's
-    "why is the memory state like that" debugging query.
+    "why is the memory state like that" debugging query.  The writers are
+    walked backwards together, with one visited set shared by all of them,
+    so the query is linear in its answer rather than one full backward
+    slice per writer.
     """
-    result: Set[NodeId] = set()
-    for writer in writers_of_pages(cpg, pages):
-        result |= backward_slice(cpg, writer, kinds=(EdgeKind.DATA,))
+    writers = writers_of_pages(cpg, pages)
+    result = cpg._closure(writers, (EdgeKind.DATA,), forward=False)
+    result |= writers
     return result
 
 

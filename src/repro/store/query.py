@@ -23,18 +23,20 @@ resolve a data race differently (see ``docs/store.md``).
 
 Slices walk the edge-segment index (node -> segments holding its in-/out-
 edges), so a slice confined to one corner of the graph touches only the
-segments of that corner.  Taint propagation first computes, from the page
-and thread indexes alone (no segment I/O), a closed superset of the nodes
-the taint frontier can ever reach, then replays the in-memory policy over
-just those nodes in stored topological rank order -- nodes outside the
-closure can neither become tainted nor taint a page, so restricting the
-replay preserves the result bit for bit.  When the closure floods (the
-frontier touches a majority of the run's *read* pages -- write-only pages
-never spread taint further) the engine stops
-expanding it and falls back to one sequential sweep of the run's segments
-in topological order: each segment is processed exactly once, which is
-the optimal access pattern for a query whose answer genuinely spans the
-run.
+segments of that corner.  A page lineage walks back from all the page
+writers at once with one shared visited set, so its cost is linear in the
+answer rather than one full slice per writer.  Taint propagation first
+computes, from the page and thread indexes alone (no segment I/O), a
+closed superset of the nodes the taint frontier can ever reach, then
+replays the in-memory policy over just those nodes in stored topological
+rank order -- nodes outside the closure can neither become tainted nor
+taint a page, so restricting the replay preserves the result bit for bit.
+When the closure floods (the frontier touches a majority of the run's
+*read* pages -- write-only pages never spread taint further) the engine
+stops expanding it and falls back to one sequential sweep of the run's
+segments in topological order: each segment is processed exactly once,
+which is the optimal access pattern for a query whose answer genuinely
+spans the run.
 
 Every segment read goes through the store's byte-budgeted decoded-segment
 cache (:mod:`repro.store.cache`), so repeated queries on a warm engine --
@@ -57,6 +59,7 @@ from repro.core.thunk import NodeId, SubComputation
 from repro.errors import CorruptSegmentError
 
 from repro.store.cache import ReadScope
+from repro.store.indexes import StoreIndexes
 from repro.store.segment import EdgeTuple
 from repro.store.store import ProvenanceStore
 
@@ -278,8 +281,7 @@ class StoreQueryEngine:
         payload = self._segment(self.store.indexes_for(run).segment_of(node_id))
         return payload.nodes[node_id]
 
-    def _edges_at(self, node_id: NodeId, forward: bool, run: int) -> List[EdgeTuple]:
-        indexes = self.store.indexes_for(run)
+    def _edges_at(self, node_id: NodeId, forward: bool, indexes: StoreIndexes) -> List[EdgeTuple]:
         segments = indexes.out_segments(node_id) if forward else indexes.in_segments(node_id)
         edges: List[EdgeTuple] = []
         for segment_id in segments:
@@ -292,27 +294,38 @@ class StoreQueryEngine:
 
     def _closure(
         self,
-        node_id: NodeId,
+        starts: Iterable[NodeId],
         kinds: Optional[Sequence[EdgeKind]],
         forward: bool,
         run: int,
     ) -> Set[NodeId]:
-        # Mirrors ConcurrentProvenanceGraph._closure, but expands through
-        # the edge-segment index instead of an in-memory adjacency list.
-        self.store.indexes_for(run).segment_of(node_id)  # raises for unknown nodes
+        """Nodes reachable from any of ``starts`` through ``kinds`` edges.
+
+        One walk with one visited set shared by every start, so each node
+        of the closure is expanded (its edge segments looked up) exactly
+        once however many starts share its ancestry: the cost is linear in
+        the answer, not in starts x answer.  The starts themselves are
+        never part of the result.  Mirrors
+        ``ConcurrentProvenanceGraph._closure``, but expands through the
+        edge-segment index instead of an in-memory adjacency list.
+        """
+        indexes = self.store.indexes_for(run)
+        starts = set(starts)
+        for node_id in starts:
+            indexes.segment_of(node_id)  # raises for unknown nodes
         allowed = set(kinds) if kinds is not None else None
-        seen: Set[NodeId] = set()
-        frontier = [node_id]
+        reached: Set[NodeId] = set()
+        frontier = list(starts)
         while frontier:
             current = frontier.pop()
-            for source, target, kind, _ in self._edges_at(current, forward, run):
+            for source, target, kind, _ in self._edges_at(current, forward, indexes):
                 if allowed is not None and kind not in allowed:
                     continue
                 nxt = target if forward else source
-                if nxt not in seen and nxt != node_id:
-                    seen.add(nxt)
+                if nxt not in reached and nxt not in starts:
+                    reached.add(nxt)
                     frontier.append(nxt)
-        return seen
+        return reached
 
     # ------------------------------------------------------------------ #
     # Slices
@@ -327,7 +340,7 @@ class StoreQueryEngine:
     ) -> Set[NodeId]:
         """Every sub-computation ``node_id`` transitively depends on (in ``run``)."""
         run_id = self.store.resolve_run(run)
-        result = self._closure(node_id, kinds, forward=False, run=run_id)
+        result = self._closure((node_id,), kinds, forward=False, run=run_id)
         if include_start:
             result.add(node_id)
         return result
@@ -341,16 +354,21 @@ class StoreQueryEngine:
     ) -> Set[NodeId]:
         """Every sub-computation transitively influenced by ``node_id`` (in ``run``)."""
         run_id = self.store.resolve_run(run)
-        result = self._closure(node_id, kinds, forward=True, run=run_id)
+        result = self._closure((node_id,), kinds, forward=True, run=run_id)
         if include_start:
             result.add(node_id)
         return result
 
     def lineage_of_pages(self, pages: Iterable[int], run: Optional[int] = None) -> Set[NodeId]:
-        """Writers of ``pages`` plus everything they depend on through data edges."""
+        """Writers of ``pages`` plus everything they depend on through data edges.
+
+        One backward walk from all writers at once: writers share most of
+        their ancestry, and the shared visited set expands each node of the
+        answer exactly once, so the query costs O(answer) segment-index
+        lookups rather than one full backward slice per writer.
+        """
         run_id = self.store.resolve_run(run)
         indexes = self.store.indexes_for(run_id)
-        result: Set[NodeId] = set()
         writers: Set[NodeId] = set()
         for page in pages:
             writers.update(indexes.writers_of_page(page))
@@ -367,8 +385,8 @@ class StoreQueryEngine:
             ]
             for _ in self._iter_payloads(first_hop):
                 pass
-        for writer in writers:
-            result |= self.backward_slice(writer, kinds=(EdgeKind.DATA,), run=run_id)
+        result = self._closure(writers, (EdgeKind.DATA,), forward=False, run=run_id)
+        result |= writers
         return result
 
     # ------------------------------------------------------------------ #

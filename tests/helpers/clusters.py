@@ -33,38 +33,46 @@ from repro.store import (
 )
 
 
-def random_cpg(seed: int):
-    """Record a random 3-thread mostly-lock-ordered execution.
+def random_cpg(
+    seed: int, threads: int = 3, pages: int = 8, max_steps: int = 40, accesses: int = 1
+):
+    """Record a random mostly-lock-ordered execution.
 
     Same generator as the store round-trip property suite: sync, control,
-    and data edges all appear, pages are drawn from 0..7, and pages 0 and
-    1 are registered inputs.
+    and data edges all appear, pages are drawn from ``0..pages-1``, and
+    pages 0 and 1 are registered inputs.  Each critical section makes
+    ``accesses`` random accesses.  The defaults give the suite's 3-thread,
+    8-page, 5-40-step, one-access executions; more threads, steps and
+    accesses give the deep, shared ancestries lineage queries walk.
     """
     rng = random.Random(seed)
     tracker = ProvenanceTracker()
     tracker.register_input_pages({0, 1})
-    threads = [1, 2, 3]
+    tids = list(range(1, threads + 1))
     lock = 99
     holder = None
-    for tid in threads:
+    for tid in tids:
         tracker.on_thread_start(tid)
-    for _ in range(rng.randint(5, 40)):
-        tid = rng.choice(threads)
+    for _ in range(rng.randint(5, max_steps)):
+        tid = rng.choice(tids)
         if rng.random() < 0.2:
-            tracker.on_memory_access(tid, rng.randint(0, 7), is_write=bool(rng.getrandbits(1)))
+            page = rng.randint(0, pages - 1)
+            tracker.on_memory_access(tid, page, is_write=bool(rng.getrandbits(1)))
             continue
         if holder is None:
             tracker.on_sync_boundary(tid, "mutex_lock")
             tracker.on_acquire(tid, lock)
             tracker.begin_next(tid)
-            tracker.on_memory_access(tid, rng.randint(0, 7), is_write=bool(rng.getrandbits(1)))
+            for _ in range(accesses):
+                page = rng.randint(0, pages - 1)
+                tracker.on_memory_access(tid, page, is_write=bool(rng.getrandbits(1)))
             holder = tid
         elif holder == tid:
             tracker.on_sync_boundary(tid, "mutex_unlock")
             tracker.on_release(tid, lock)
             tracker.begin_next(tid)
             holder = None
-    for tid in threads:
+    for tid in tids:
         tracker.on_thread_end(tid)
     cpg = tracker.finalize()
     derive_data_edges(cpg)

@@ -14,6 +14,13 @@
   that :class:`repro.store.codecs.BinarySegmentCodec` replaced with bulk
   column operations; the fast encoder must emit the same bytes and the
   fast decoder must rebuild the same nodes and edges.
+* :func:`lineage_of_pages_reference` is the original page-lineage query:
+  one full single-start backward slice per writer, unioned.  The
+  production lineage (in memory and in the store) walks every writer at
+  once with one shared visited set and must return the same set.
+  :func:`backward_slice_reference` / :func:`forward_slice_reference` are
+  the single-start walks it is built from: a plain BFS over an explicit
+  edge list, so a test can also drop the edges of damaged segments.
 
 The derive oracle returns its edge list instead of adding it to the graph,
 so it can run on the same graph as the production derivation, whose calls
@@ -24,8 +31,8 @@ from __future__ import annotations
 
 import sys
 from array import array
-from collections import defaultdict
-from typing import Dict, List, Sequence, Set, Tuple
+from collections import defaultdict, deque
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.cpg import ConcurrentProvenanceGraph, EdgeKind
 from repro.core.dependencies import derive_data_edges
@@ -44,6 +51,7 @@ from repro.store.codecs import (
 )
 
 DataEdge = Tuple[NodeId, NodeId, frozenset]
+KindedEdge = Tuple[NodeId, NodeId, EdgeKind]
 
 
 def derive_data_edges_reference(cpg: ConcurrentProvenanceGraph) -> List[DataEdge]:
@@ -397,3 +405,83 @@ def decode_payload_reference(raw: bytes) -> Tuple[List[SubComputation], List[Edg
             page_at += size
         edges.append((source, target, kind, attrs))
     return nodes, edges
+
+
+def cpg_edge_list(cpg: ConcurrentProvenanceGraph) -> List[KindedEdge]:
+    """Every ``(source, target, kind)`` edge of ``cpg``."""
+    return [(source, target, attrs["kind"]) for source, target, attrs in cpg.edges()]
+
+
+def _adjacency(
+    edges: Iterable[tuple], kinds: Optional[Sequence[EdgeKind]], forward: bool
+) -> Dict[NodeId, List[NodeId]]:
+    adjacency: Dict[NodeId, List[NodeId]] = defaultdict(list)
+    for source, target, kind, *_ in edges:
+        if kinds is None or kind in kinds:
+            if forward:
+                adjacency[source].append(target)
+            else:
+                adjacency[target].append(source)
+    return adjacency
+
+
+def _reachable(
+    adjacency: Dict[NodeId, List[NodeId]], node_id: NodeId, include_start: bool
+) -> Set[NodeId]:
+    seen = {node_id}
+    queue = deque([node_id])
+    while queue:
+        for nxt in adjacency.get(queue.popleft(), ()):
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    if not include_start:
+        seen.discard(node_id)
+    return seen
+
+
+def backward_slice_reference(
+    edges: Iterable[tuple],
+    node_id: NodeId,
+    kinds: Optional[Sequence[EdgeKind]] = (EdgeKind.DATA,),
+    include_start: bool = True,
+) -> Set[NodeId]:
+    """Everything ``node_id`` reaches backwards over ``edges`` of ``kinds``.
+
+    ``edges`` holds ``(source, target, kind, ...)`` tuples: the CPG's
+    (:func:`cpg_edge_list`) or a store segment's.
+    """
+    return _reachable(_adjacency(edges, kinds, forward=False), node_id, include_start)
+
+
+def forward_slice_reference(
+    edges: Iterable[tuple],
+    node_id: NodeId,
+    kinds: Optional[Sequence[EdgeKind]] = (EdgeKind.DATA,),
+    include_start: bool = True,
+) -> Set[NodeId]:
+    """Everything ``node_id`` reaches forwards over ``edges`` of ``kinds``."""
+    return _reachable(_adjacency(edges, kinds, forward=True), node_id, include_start)
+
+
+def lineage_of_pages_reference(
+    cpg: ConcurrentProvenanceGraph,
+    pages: Iterable[int],
+    edges: Optional[Iterable[tuple]] = None,
+) -> Set[NodeId]:
+    """The writers of ``pages`` unioned with each writer's data backward slice.
+
+    ``edges`` defaults to every edge of ``cpg``; pass a subset (say, the
+    edges of a store's healthy segments) to get the answer a degraded
+    read must give.  The writers always come from ``cpg``, as the store's
+    page index names them without reading a segment.
+    """
+    wanted = set(pages)
+    adjacency = _adjacency(
+        cpg_edge_list(cpg) if edges is None else edges, (EdgeKind.DATA,), forward=False
+    )
+    result: Set[NodeId] = set()
+    for node in cpg.subcomputations():
+        if node.write_set & wanted:
+            result |= _reachable(adjacency, node.node_id, include_start=True)
+    return result
