@@ -1,39 +1,19 @@
-"""Segment payload codecs: how a batch of nodes+edges becomes bytes.
+"""The segment codec: how a batch of nodes+edges becomes bytes.
 
-Store format 4 makes the payload encoding pluggable: every sealed segment
-records which :class:`SegmentCodec` produced it (in its frame byte *and*
-in the manifest), so one store can hold segments in different encodings
-and still decode each one correctly -- the upgrade path that lets v2/v3
-stores keep their JSON segments while new writes use the binary codec.
+The store has one payload encoding, ``binary-z`` (:class:`SegmentCodec`):
+columnar struct-packed records whose plane block is zlib-compressed inside
+the frame.  Every integer column (thread ids, clocks, page sets, branch
+sites, edge endpoints) is one ``array('q')`` blob decoded with a single C
+call, and the few strings (sync operation names, ``started_by`` /
+``ended_by``) go through an interned string table.  Variable-length
+columns (clock entries, page sets, thunks, data-edge page lists) are
+length-prefixed per record.  The 8-byte columns are mostly small
+magnitudes, so DEFLATE shrinks them well below an lz+JSON encoding of the
+same graph, and ``zlib`` releases the GIL and decompresses in C, so
+multi-segment sweeps can overlap decodes across threads.
 
-Three codecs exist:
-
-* :class:`JsonSegmentCodec` (``"json"``) -- the v2/v3 payload: the v2 CPG
-  serialization as JSON, lz-compressed inside the frame.  Readable and
-  diffable, but decoding pays for lz decompression, JSON parsing, and
-  dict-keyed field access on every node.
-* :class:`BinarySegmentCodec` (``"binary"``, the v4 default) -- columnar
-  struct-packed records: every integer column (thread ids, clocks, page
-  sets, branch sites, edge endpoints) is one ``array('q')`` blob decoded
-  with a single C call, and the few strings (sync operation names,
-  ``started_by``/``ended_by``) go through an interned string table.
-  Variable-length columns (clock entries, page sets, thunks, data-edge
-  page lists) are length-prefixed per record.  The payload is *not*
-  compressed: the store's lz codec is pure Python, and for this layout
-  skipping it is both smaller on the encode path and much faster to
-  decode -- the benchmark (``benchmarks/bench_store_queries.py``) keeps
-  the decode-speed claim honest.
-* :class:`ZlibBinarySegmentCodec` (``"binary-z"``, the v6 default) -- the
-  same columnar payload with the plane block ``zlib``-compressed inside
-  the frame.  The 8-byte integer columns are mostly small magnitudes, so
-  DEFLATE wins the disk back from the uncompressed binary layout (below
-  lz+JSON's footprint), and unlike the pure-Python lz codec ``zlib``
-  releases the GIL and decompresses in C -- decode stays within a few
-  milliseconds of the raw binary codec and parallel multi-segment sweeps
-  can actually overlap.
-
-The binary codecs share one pair of bulk kernels, which pack and unpack
-whole columns instead of one integer at a time:
+The kernels pack and unpack whole columns instead of one integer at a
+time:
 
 * **Encode** sorts each node's clock keys, gathers every tid and every
   value into two flat lists, and interleaves them into one ``array('q')``
@@ -50,10 +30,6 @@ whole columns instead of one integer at a time:
 The tests keep a per-integer reference codec; the bulk encoder must emit
 its bytes exactly and the bulk decoder must rebuild the same graph.
 
-Frame-level compression is a codec property (:meth:`SegmentCodec.compress_frame`
-/ :meth:`SegmentCodec.decompress_frame`), so the framing layer in
-:mod:`repro.store.segment` never special-cases a codec.
-
 The module also provides the little-endian varint helpers the index
 delta/base files (:mod:`repro.store.indexes`) share; those files are tiny,
 so compactness wins over bulk decode speed there.
@@ -61,7 +37,6 @@ so compactness wins over bulk decode speed there.
 
 from __future__ import annotations
 
-import json
 import struct
 import sys
 import zlib
@@ -70,16 +45,10 @@ from itertools import islice
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.core.cpg import EdgeKind
-from repro.core.serialization import (
-    FORMAT_VERSION_V2,
-    edge_from_dict,
-    edge_to_dict,
-    subcomputation_from_dict,
-    subcomputation_to_dict,
-)
 from repro.core.thunk import BranchRecord, NodeId, SubComputation, Thunk
 from repro.core.vector_clock import VectorClock
 from repro.errors import StoreError
+from repro.store.format import SEGMENT_CODEC
 
 #: An edge as the store passes it around: ``(source, target, kind, attrs)``.
 EdgeTuple = Tuple[NodeId, NodeId, EdgeKind, dict]
@@ -252,108 +221,22 @@ _SYNC_RECORD = struct.Struct("<Bqq")
 
 
 # ---------------------------------------------------------------------- #
-# The codec interface
+# The codec
 # ---------------------------------------------------------------------- #
 
 
-class SegmentCodec:
-    """Encode/decode one segment payload (the bytes inside the frame).
-
-    Attributes:
-        name: Codec name recorded in the manifest's segment table.
-        frame_byte: Byte following the ``ISEG`` magic in the segment file;
-            identifies the codec without consulting the manifest.
-        framed_lz: Whether the frame stores the payload lz-compressed
-            (the legacy JSON framing) or raw.  Kept for introspection;
-            the framing layer goes through :meth:`compress_frame` /
-            :meth:`decompress_frame` instead of consulting this flag.
-    """
-
-    name: str = ""
-    frame_byte: int = 0
-    framed_lz: bool = False
-
-    def encode_payload(
-        self, nodes: Sequence[SubComputation], edges: Sequence[EdgeTuple]
-    ) -> bytes:
-        raise NotImplementedError
-
-    def decode_payload(self, raw: bytes) -> Tuple[List[SubComputation], List[EdgeTuple]]:
-        raise NotImplementedError
-
-    def compress_frame(self, raw: bytes) -> bytes:
-        """Bytes stored inside the frame for the ``raw`` encoded payload.
-
-        The base codec stores the payload verbatim; compressing codecs
-        override this (and :meth:`decompress_frame`) as a pair.
-        """
-        return raw
-
-    def decompress_frame(self, body: bytes) -> bytes:
-        """Invert :meth:`compress_frame`.
-
-        Raises:
-            StoreError: If the stored body is corrupt.
-        """
-        return body
-
-
-class JsonSegmentCodec(SegmentCodec):
-    """The v2/v3 payload: the v2 CPG serialization as sorted-key JSON."""
-
-    name = "json"
-    frame_byte = 0x02  # the historical "ISEG\x02" frame
-    framed_lz = True
-
-    def compress_frame(self, raw: bytes) -> bytes:
-        from repro.compression.lz import compress
-
-        return compress(raw)
-
-    def decompress_frame(self, body: bytes) -> bytes:
-        from repro.compression.lz import decompress
-
-        try:
-            return decompress(body)
-        except ValueError as exc:
-            raise StoreError(f"corrupt segment payload: {exc}") from exc
-
-    def encode_payload(
-        self, nodes: Sequence[SubComputation], edges: Sequence[EdgeTuple]
-    ) -> bytes:
-        document = {
-            "format_version": FORMAT_VERSION_V2,
-            "kind": "cpg-segment",
-            "nodes": [subcomputation_to_dict(node) for node in nodes],
-            "edges": [
-                edge_to_dict(source, target, {"kind": kind, **attrs}, version=FORMAT_VERSION_V2)
-                for source, target, kind, attrs in edges
-            ],
-        }
-        return json.dumps(document, sort_keys=True).encode("utf-8")
-
-    def decode_payload(self, raw: bytes) -> Tuple[List[SubComputation], List[EdgeTuple]]:
-        try:
-            document = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise StoreError(f"segment payload is not valid JSON: {exc}") from exc
-        if document.get("format_version") != FORMAT_VERSION_V2:
-            raise StoreError(
-                f"unsupported segment format version {document.get('format_version')!r}"
-            )
-        nodes = [subcomputation_from_dict(entry) for entry in document.get("nodes", ())]
-        edges = [edge_from_dict(entry) for entry in document.get("edges", ())]
-        return nodes, edges
-
-
-#: Version byte heading the binary payload (bump on layout changes).
+#: Version byte heading the columnar payload (bump on layout changes).
 _BINARY_PAYLOAD_VERSION = 1
 
+#: zlib level of every frame body (decoding is level-agnostic).
+ZLIB_LEVEL = 6
 
-class BinarySegmentCodec(SegmentCodec):
-    """Columnar struct-packed payload (the store format 4 default).
 
-    Layout (all integer columns are little-endian 8-byte signed arrays)::
+class SegmentCodec:
+    """Columnar struct-packed payload, zlib-compressed in the frame (``binary-z``).
+
+    Payload layout (all integer columns are little-endian 8-byte signed
+    arrays)::
 
         u8   payload version
         -- interned string table (operation names, started_by/ended_by) --
@@ -374,13 +257,17 @@ class BinarySegmentCodec(SegmentCodec):
         per data edge (in edge order):  q page count     | q[...] pages, sorted
 
     Branch flags: bit 0 = thunk has a start branch, bit 1 = taken,
-    bit 2 = indirect.  Sync object ids must be integers (or None); the
-    JSON codec remains available for exotic payloads.
+    bit 2 = indirect.  Sync object ids must be integers (or None).  The
+    frame stores the payload through one ``zlib.compress`` call at
+    :data:`ZLIB_LEVEL` (:meth:`compress_frame` / :meth:`decompress_frame`).
+
+    Attributes:
+        name: Codec name recorded in the manifest's segment table.
+        frame_byte: Byte following the ``ISEG`` magic in the segment file.
     """
 
-    name = "binary"
-    frame_byte = 0x03
-    framed_lz = False
+    name = SEGMENT_CODEC
+    frame_byte = 0x04
 
     def encode_payload(
         self, nodes: Sequence[SubComputation], edges: Sequence[EdgeTuple]
@@ -432,8 +319,8 @@ class BinarySegmentCodec(SegmentCodec):
                     has_object = 1
                 else:
                     raise StoreError(
-                        f"binary codec requires integer sync object ids, got {object_id!r} "
-                        f"(use the json codec for this payload)"
+                        f"the segment codec requires integer sync object ids, "
+                        f"got {object_id!r}"
                     )
                 sync_block += _SYNC_RECORD.pack(
                     has_object, object_id, interner.ref(attrs.get("operation", ""))
@@ -579,52 +466,27 @@ class BinarySegmentCodec(SegmentCodec):
             edges.append((source, target, CODE_TO_KIND[code], attrs))
         return nodes, edges
 
-
-class ZlibBinarySegmentCodec(BinarySegmentCodec):
-    """The columnar payload with its plane block zlib-compressed (v6 default).
-
-    The payload layout is byte-for-byte :class:`BinarySegmentCodec`'s; only
-    the frame body differs: the whole columnar plane block goes through one
-    ``zlib.compress`` call.  DEFLATE over the mostly-small-magnitude 8-byte
-    columns wins back the disk the uncompressed binary layout gave up
-    (below the lz+JSON footprint on the bench workload), and the single C
-    call releases the GIL -- so multi-segment sweeps can overlap decodes
-    across threads, which the pure-Python lz codec never could.
-
-    Attributes:
-        compress_level: zlib level used for new frames (1-9; default 6).
-            Mutable so the CLI's ``--compress-level`` can trade encode
-            time for disk without a new codec registration; decoding is
-            level-agnostic.
-    """
-
-    name = "binary-z"
-    frame_byte = 0x04
-    framed_lz = False
-
-    def __init__(self, compress_level: int = 6) -> None:
-        self.compress_level = compress_level
-
     def compress_frame(self, raw: bytes) -> bytes:
-        return zlib.compress(raw, self.compress_level)
+        """Bytes stored inside the frame for the ``raw`` encoded payload."""
+        return zlib.compress(raw, ZLIB_LEVEL)
 
     def decompress_frame(self, body: bytes) -> bytes:
+        """Invert :meth:`compress_frame`.
+
+        Raises:
+            StoreError: If the stored body is corrupt.
+        """
         try:
             return zlib.decompress(body)
         except zlib.error as exc:
             raise StoreError(f"corrupt compressed segment payload: {exc}") from exc
 
 
-#: The codecs this build can read and write, by name.
-CODECS: Dict[str, SegmentCodec] = {
-    codec.name: codec
-    for codec in (JsonSegmentCodec(), BinarySegmentCodec(), ZlibBinarySegmentCodec())
-}
+#: The store's codec.
+CODEC = SegmentCodec()
 
-#: What new segments are encoded with unless the caller overrides it.
-DEFAULT_CODEC = ZlibBinarySegmentCodec.name
-
-_BY_FRAME_BYTE = {codec.frame_byte: codec for codec in CODECS.values()}
+#: The codecs this build reads and writes, by name (exactly one).
+CODECS: Dict[str, SegmentCodec] = {CODEC.name: CODEC}
 
 #: High bit of the frame byte: the frame carries a CRC32 of the codec body
 #: between the raw-length field and the body (verified on decode).  Frames
@@ -633,47 +495,14 @@ _BY_FRAME_BYTE = {codec.frame_byte: codec for codec in CODECS.values()}
 CRC_FRAME_FLAG = 0x80
 
 
-def codec_by_name(name: str) -> SegmentCodec:
-    """The codec registered as ``name``.
-
-    Raises:
-        StoreError: For a codec this build does not know.
-    """
-    try:
-        return CODECS[name]
-    except KeyError as exc:
-        known = ", ".join(sorted(CODECS))
-        raise StoreError(f"unknown segment codec {name!r} (known codecs: {known})") from exc
-
-
-def codec_by_frame_byte(frame_byte: int) -> SegmentCodec:
-    """The codec whose segments carry ``frame_byte`` after the magic.
-
-    The :data:`CRC_FRAME_FLAG` bit is not part of the codec identity and
-    is masked off before the lookup.
-    """
-    base = frame_byte & ~CRC_FRAME_FLAG
-    try:
-        return _BY_FRAME_BYTE[base]
-    except KeyError as exc:
-        known = ", ".join(f"0x{byte:02x}" for byte in sorted(_BY_FRAME_BYTE))
-        raise StoreError(
-            f"unknown segment frame byte 0x{frame_byte:02x} (known: {known})"
-        ) from exc
-
-
 __all__ = [
+    "CODEC",
     "CODECS",
     "CRC_FRAME_FLAG",
-    "DEFAULT_CODEC",
-    "BinarySegmentCodec",
+    "ZLIB_LEVEL",
     "EdgeTuple",
-    "JsonSegmentCodec",
     "SegmentCodec",
     "StringInterner",
-    "ZlibBinarySegmentCodec",
-    "codec_by_frame_byte",
-    "codec_by_name",
     "deref",
     "read_string_table",
     "read_svarint",

@@ -50,12 +50,10 @@ from repro.store.format import (
     PAGES_RUNS_FILE,
     SEGMENT_LOG_NAME,
     SEGMENTS_DIR,
-    STORE_FORMAT_VERSION_V4,
     index_base_file_name,
     index_delta_file_name,
     segment_file_name,
 )
-from repro.store.indexes import LEGACY_INDEX_FILES
 from repro.store.segment import FRAME_UNVERIFIED, FRAME_VERIFIED, verify_frame
 from repro.store.store import (
     _COMPACT_SPILL_DIR,
@@ -268,11 +266,7 @@ def _find_orphans(store: ProvenanceStore) -> List[str]:
             rel = os.path.join(INDEX_DIR, name)
             match = _RUN_DIR_RE.match(name)
             if match is None:
-                stray = name.endswith(".tmp") or (
-                    name in LEGACY_INDEX_FILES
-                    and store._disk_version >= STORE_FORMAT_VERSION_V4
-                )
-                if stray:
+                if name.endswith(".tmp"):
                     orphans.append(rel)
                 continue
             run_id = int(match.group(1))
@@ -290,8 +284,6 @@ def _find_orphans(store: ProvenanceStore) -> List[str]:
                     stale = int(base_match.group(1)) != run_info.index_base
                 elif delta_match is not None:
                     stale = int(delta_match.group(1)) not in run_info.index_deltas
-                elif file_name in LEGACY_INDEX_FILES and run_info.index_base > 0:
-                    stale = True
                 if stale:
                     orphans.append(file_rel)
     if os.path.isdir(os.path.join(path, _COMPACT_SPILL_DIR)):
@@ -368,7 +360,7 @@ def scrub(
     quarantined -- and a previously quarantined segment that now verifies
     clean (repaired in place) is un-quarantined; ``durable=True`` commits
     any mark changes through a manifest checkpoint (a clean scrub writes
-    nothing, so scrubbing an old-format store does not upgrade it).
+    nothing).
 
     Returns a machine-readable report; ``ok`` is False when any file is
     damaged.

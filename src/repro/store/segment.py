@@ -4,22 +4,19 @@ A segment is the unit of disk I/O of the store: a batch of sub-computations
 plus the edges co-located with them (an edge lives in the segment of its
 *target* node whenever possible, so a backward expansion of a node finds
 its incoming edges in the segment it just loaded).  The bytes inside the
-frame are produced by a pluggable :class:`~repro.store.codecs.SegmentCodec`
-(store format 4); the frame itself is common to every codec::
+frame are produced by the store's codec
+(:class:`~repro.store.codecs.SegmentCodec`, ``binary-z``)::
 
     +--------+------------+----------------------+------------------+
-    | "ISEG" | frame byte | raw length (8B LE)   | codec payload    |
+    | "ISEG" | frame byte | raw length (8B LE)   | codec body       |
     +--------+------------+----------------------+------------------+
 
-The frame byte identifies the codec (``0x02`` = lz-compressed JSON, the
-v2/v3 encoding; ``0x03`` = columnar binary, the v4 default; ``0x04`` =
-zlib-compressed columnar binary, the v6 default), so a mixed store
-decodes every segment correctly even before consulting the manifest's
-per-segment codec column.  ``raw length`` is the size of the
-*uncompressed* payload and feeds the manifest's compression accounting;
-whether (and how) the body is compressed is the codec's business, via
-:meth:`~repro.store.codecs.SegmentCodec.compress_frame` /
-:meth:`~repro.store.codecs.SegmentCodec.decompress_frame`.
+The frame byte identifies the codec: ``0x04``, zlib-compressed columnar
+binary, is the only one this build reads.  Frames of the retired codecs
+(``0x02`` lz-compressed JSON, ``0x03`` uncompressed columnar binary) are
+refused with a typed :class:`~repro.errors.StoreError`.  ``raw length``
+is the size of the *uncompressed* payload and feeds the manifest's
+compression accounting.
 
 Frames written since the integrity layer set the high bit of the frame
 byte (:data:`~repro.store.codecs.CRC_FRAME_FLAG`) and insert a CRC32 of
@@ -31,8 +28,9 @@ the codec body between the raw-length field and the body::
 
 :func:`decode_segment` verifies the checksum before touching the body, so
 a bit flip anywhere in the payload surfaces as a typed error instead of a
-garbled graph.  Older frames (no flag) stay readable and are reported as
-``unverified`` by :func:`verify_frame` -- the fsck/scrub vocabulary.
+garbled graph.  Frames written before the integrity layer (no flag) stay
+readable and are reported as ``unverified`` by :func:`verify_frame` --
+the fsck/scrub vocabulary.
 """
 
 from __future__ import annotations
@@ -44,14 +42,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from repro.core.thunk import NodeId, SubComputation
 from repro.errors import StoreError
 
-from repro.store.codecs import (
-    CRC_FRAME_FLAG,
-    DEFAULT_CODEC,
-    EdgeTuple,
-    SegmentCodec,
-    codec_by_frame_byte,
-    codec_by_name,
-)
+from repro.store.codecs import CODEC, CRC_FRAME_FLAG, EdgeTuple
 from repro.store.format import SEGMENT_MAGIC_PREFIX
 
 _HEADER_SIZE = len(SEGMENT_MAGIC_PREFIX) + 1 + 8
@@ -88,22 +79,19 @@ class SegmentPayload:
 
 
 def encode_segment(
-    nodes: Iterable[SubComputation],
-    edges: Iterable[EdgeTuple],
-    codec: Optional[str] = None,
+    nodes: Iterable[SubComputation], edges: Iterable[EdgeTuple]
 ) -> Tuple[bytes, int]:
-    """Serialize one segment with ``codec`` (default: ``binary-z``, the v6 default).
+    """Serialize one segment with the store's codec.
 
     Returns:
         ``(framed bytes, raw payload size)`` -- the raw size feeds the
         manifest's compression accounting.
     """
-    chosen: SegmentCodec = codec_by_name(codec if codec is not None else DEFAULT_CODEC)
-    raw = chosen.encode_payload(list(nodes), list(edges))
-    body = chosen.compress_frame(raw)
+    raw = CODEC.encode_payload(list(nodes), list(edges))
+    body = CODEC.compress_frame(raw)
     framed = (
         SEGMENT_MAGIC_PREFIX
-        + bytes((chosen.frame_byte | CRC_FRAME_FLAG,))
+        + bytes((CODEC.frame_byte | CRC_FRAME_FLAG,))
         + len(raw).to_bytes(8, "little")
         + (zlib.crc32(body) & 0xFFFFFFFF).to_bytes(4, "little")
         + body
@@ -111,36 +99,34 @@ def encode_segment(
     return framed, len(raw)
 
 
-def segment_codec_name(data: bytes) -> str:
-    """Name of the codec that encoded the framed segment ``data``."""
-    if len(data) < _HEADER_SIZE or not data.startswith(SEGMENT_MAGIC_PREFIX):
-        raise StoreError("not a provenance-store segment (bad magic)")
-    return codec_by_frame_byte(data[len(SEGMENT_MAGIC_PREFIX)]).name
-
-
 def frame_header(data: bytes) -> Tuple[str, int, bool]:
     """``(codec name, raw payload size, carries a CRC32)`` of the frame ``data``.
 
-    Reads the header only; :func:`decode_segment` is what checks the
-    checksum and the raw size against the body.
+    Reads the header only (and so refuses a bad magic or another codec's
+    frame byte); :func:`decode_segment` is what checks the checksum and
+    the raw size against the body.
     """
-    chosen, raw_length, stored_crc, _ = _split_frame(data)
-    return chosen.name, raw_length, stored_crc is not None
+    raw_length, stored_crc, _ = _split_frame(data)
+    return CODEC.name, raw_length, stored_crc is not None
 
 
-def _split_frame(data: bytes):
-    """(codec, raw length, stored crc or None, codec body) of a frame."""
+def _split_frame(data: bytes) -> Tuple[int, Optional[int], bytes]:
+    """(raw length, stored crc or None, codec body) of a frame."""
     if len(data) < _HEADER_SIZE or not data.startswith(SEGMENT_MAGIC_PREFIX):
         raise StoreError("not a provenance-store segment (bad magic)")
     frame_byte = data[len(SEGMENT_MAGIC_PREFIX)]
-    chosen = codec_by_frame_byte(frame_byte)
+    if frame_byte & ~CRC_FRAME_FLAG != CODEC.frame_byte:
+        raise StoreError(
+            f"unsupported segment frame byte 0x{frame_byte:02x}: this build reads "
+            f"only {CODEC.name} frames (0x{CODEC.frame_byte:02x})"
+        )
     raw_length = int.from_bytes(data[len(SEGMENT_MAGIC_PREFIX) + 1 : _HEADER_SIZE], "little")
     if not frame_byte & CRC_FRAME_FLAG:
-        return chosen, raw_length, None, data[_HEADER_SIZE:]
+        return raw_length, None, data[_HEADER_SIZE:]
     if len(data) < _HEADER_SIZE + _CRC_SIZE:
         raise StoreError("segment frame truncated inside its checksum field")
     stored_crc = int.from_bytes(data[_HEADER_SIZE : _HEADER_SIZE + _CRC_SIZE], "little")
-    return chosen, raw_length, stored_crc, data[_HEADER_SIZE + _CRC_SIZE :]
+    return raw_length, stored_crc, data[_HEADER_SIZE + _CRC_SIZE :]
 
 
 def verify_frame(data: bytes) -> str:
@@ -154,7 +140,7 @@ def verify_frame(data: bytes) -> str:
     Raises:
         StoreError: Bad magic, unknown frame byte, or a checksum mismatch.
     """
-    _, _, stored_crc, body = _split_frame(data)
+    _, stored_crc, body = _split_frame(data)
     if stored_crc is None:
         return FRAME_UNVERIFIED
     actual = zlib.crc32(body) & 0xFFFFFFFF
@@ -167,17 +153,18 @@ def verify_frame(data: bytes) -> str:
 
 
 def decode_segment(data: bytes) -> SegmentPayload:
-    """Invert :func:`encode_segment` (any codec; dispatch on the frame byte).
+    """Invert :func:`encode_segment`.
 
     Frames carrying a CRC32 (the :data:`~repro.store.codecs.CRC_FRAME_FLAG`
-    bit) are verified before the body is decompressed; legacy frames
-    decode unverified, exactly as they always did.
+    bit) are verified before the body is decompressed; frames written
+    before the integrity layer decode unverified.
 
     Raises:
         StoreError: If the framing, checksum, compression, or payload is
-            corrupt, or the payload holds one node id twice.
+            corrupt, the frame byte names another codec, or the payload
+            holds one node id twice.
     """
-    chosen, raw_length, stored_crc, body = _split_frame(data)
+    raw_length, stored_crc, body = _split_frame(data)
     if stored_crc is not None:
         actual = zlib.crc32(body) & 0xFFFFFFFF
         if actual != stored_crc:
@@ -185,12 +172,12 @@ def decode_segment(data: bytes) -> SegmentPayload:
                 f"segment frame checksum mismatch: stored 0x{stored_crc:08x}, "
                 f"computed 0x{actual:08x}"
             )
-    raw = chosen.decompress_frame(body)
+    raw = CODEC.decompress_frame(body)
     if len(raw) != raw_length:
         raise StoreError(
             f"segment length mismatch: header says {raw_length} bytes, got {len(raw)}"
         )
-    nodes, edges = chosen.decode_payload(raw)
+    nodes, edges = CODEC.decode_payload(raw)
     payload = SegmentPayload.build(nodes, edges)
     if len(payload.nodes) != len(nodes):
         raise StoreError("segment payload holds a node id more than once")

@@ -482,13 +482,13 @@ class StoreServer:
         if fresh.manifest.next_run_id < old.manifest.next_run_id:
             return False
         new_segments = {
-            info.segment_id: (info.run, info.nodes, info.edges, info.stored_bytes, info.codec)
+            info.segment_id: (info.run, info.nodes, info.edges, info.stored_bytes)
             for info in fresh.manifest.segments
         }
         for info in old.manifest.segments:
             described = new_segments.get(info.segment_id)
             if described is not None and described != (
-                info.run, info.nodes, info.edges, info.stored_bytes, info.codec
+                info.run, info.nodes, info.edges, info.stored_bytes
             ):
                 return False  # same id, different content: not our lineage
         new_runs = {run.run_id: run.created_at for run in fresh.manifest.runs}
@@ -799,10 +799,10 @@ class StoreServer:
 
         An ``append_epoch`` frame is CRC-verified and decoded in full (the
         indexes, the collision check and the cache need its nodes).  A
-        checksummed frame already in the target codec -- the request's
-        ``codec``, else the store's default -- is then sealed verbatim,
-        with no second encode; any other frame is re-encoded into the
-        target codec.
+        checksummed frame is then sealed verbatim, with no second encode;
+        a frame written before the integrity layer (no CRC) is re-encoded
+        so that nothing unchecksummed is ever sealed.  A frame of another
+        codec fails the decode and is refused before anything is written.
         """
         if self._writer is None:
             raise StoreReadOnlyError(
@@ -839,17 +839,13 @@ class StoreServer:
                         f"append_epoch segment for run {run_id} is corrupt: {exc}"
                     ) from exc
                 nodes = list(payload.nodes.values())  # insertion order = encode order
-                codec = request.get("codec")
-                target = codec if codec is not None else writer.default_codec
-                codec_name, raw_bytes, checksummed = frame_header(data)
-                if codec_name == target and checksummed:
+                _, raw_bytes, checksummed = frame_header(data)
+                if checksummed:
                     segment_id = writer.seal_segment(
                         data, raw_bytes, nodes, payload.edges, run=run_id
                     )
                 else:
-                    segment_id = writer.append_segment(
-                        nodes, payload.edges, run=run_id, codec=target
-                    )
+                    segment_id = writer.append_segment(nodes, payload.edges, run=run_id)
                 writer.flush()  # one O(epoch) log record; the reply waits on it
                 self._ingests[run_id]["epochs"] += 1
                 with self._counter_lock:
@@ -1240,23 +1236,18 @@ class StoreClient:
         run: int,
         nodes: Sequence[SubComputation],
         edges: Sequence[EdgeTuple] = (),
-        codec: Optional[str] = None,
     ) -> dict:
         """Ship one epoch (nodes + edges) as a segment of ``run``.
 
         The payload travels as the store's own codec frame (base64 over
         the JSON line); the call returns only after the server flushed
         the epoch durably -- the synchronous reply is the back-pressure.
-        A frame in the store's codec is sealed verbatim: the server
-        verifies and decodes it but does not encode it again, so the
-        segment file holds exactly the bytes encoded here.
+        The server verifies and decodes the frame but does not encode it
+        again, so the segment file holds exactly the bytes encoded here.
         """
-        framed, _ = encode_segment(nodes, edges, codec=codec)
+        framed, _ = encode_segment(nodes, edges)
         return self.result(
-            "append_epoch",
-            run=run,
-            segment=base64.b64encode(framed).decode("ascii"),
-            codec=codec,
+            "append_epoch", run=run, segment=base64.b64encode(framed).decode("ascii")
         )
 
     def commit_run(self, run: int, meta: Optional[dict] = None) -> dict:

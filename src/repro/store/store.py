@@ -11,14 +11,13 @@ the index-selected subgraph are served by
 :class:`repro.store.query.StoreQueryEngine`.
 
 Store format 6 keeps the write path incremental end to end: segment
-payloads go through a pluggable codec (:mod:`repro.store.codecs`; the
-zlib-compressed columnar ``binary-z`` codec is the default, the
-uncompressed binary and JSON codecs remain readable and writable),
-per-run indexes are loaded lazily and flushed as append-only
-**delta files** (O(epoch), not O(index)), and the flush commit itself is
-one framed record appended to ``segments.log`` (:mod:`repro.store.log`)
--- the manifest is a periodic *checkpoint* replayed over on open, so a
-flush no longer pays an O(#segments) manifest rewrite.  A cross-run page
+payloads go through the store's one codec (:mod:`repro.store.codecs`,
+zlib-compressed columnar ``binary-z``), per-run indexes are loaded
+lazily and flushed as append-only **delta files** (O(epoch), not
+O(index)), and the flush commit itself is one framed record appended to
+``segments.log`` (:mod:`repro.store.log`) -- the manifest is a periodic
+*checkpoint* replayed over on open, so a flush does not pay an
+O(#segments) manifest rewrite.  A cross-run page
 summary (``index/pages_runs.json``) lets ``*_across_runs`` queries skip
 runs without opening their indexes.  The read path is cached: decoded segments
 live in a byte-budgeted LRU (:mod:`repro.store.cache`) that can be shared
@@ -71,7 +70,6 @@ from repro.core.thunk import SubComputation
 from repro.errors import CorruptSegmentError, StoreError
 
 from repro.store.cache import IndexPinner, ReadScope, SegmentCache
-from repro.store.codecs import DEFAULT_CODEC
 from repro.store.format import (
     DEFAULT_CHECKPOINT_INTERVAL,
     DEFAULT_SEGMENT_NODES,
@@ -82,9 +80,6 @@ from repro.store.format import (
     SEGMENT_LOG_NAME,
     SEGMENTS_DIR,
     STORE_FORMAT_VERSION,
-    STORE_FORMAT_VERSION_V2,
-    STORE_FORMAT_VERSION_V4,
-    STORE_FORMAT_VERSION_V5,
     RunInfo,
     SegmentInfo,
     StoreManifest,
@@ -94,14 +89,14 @@ from repro.store.format import (
     run_index_dir_name,
     segment_file_name,
 )
-from repro.store.indexes import LEGACY_INDEX_FILES, StoreIndexes
+from repro.store.indexes import StoreIndexes
 from repro.store.log import SegmentLog
 from repro.store.segment import (
     EdgeTuple,
     SegmentPayload,
     decode_segment,
     encode_segment,
-    segment_codec_name,
+    frame_header,
 )
 
 _SEGMENT_FILE_RE = re.compile(r"^seg-(\d{8})\.seg$")
@@ -230,8 +225,6 @@ class ProvenanceStore:
     the constructor.
 
     Attributes:
-        default_codec: Codec name new segments are encoded with
-            (``"binary-z"`` unless changed; see :mod:`repro.store.codecs`).
         decode_mode: How :meth:`segment_many` decodes a batch of cold
             misses: ``"auto"`` (the default) uses the store's shared
             thread pool and escalates to the shared process pool when the
@@ -241,13 +234,6 @@ class ProvenanceStore:
             columnar decode is pure Python) at the price of one pickle
             round-trip per decode group; a broken pool (fork or pickling
             failure) permanently falls back to threads for the handle.
-        index_full_rewrite: Benchmark/back-compat knob: when true, every
-            flush folds the whole index instead of appending a delta --
-            the v3 write-path cost profile.  Stores written this way stay
-            correct (a reopen rebuilds their indexes from segments).
-        manifest_full_rewrite: Benchmark knob: when true, every flush
-            writes a full manifest checkpoint instead of a log record --
-            the v4 write-path cost profile (O(#segments) per flush).
         checkpoint_interval: Log-append flushes between automatic
             manifest checkpoints (bounds open-time replay work).
         cache: The decoded-segment :class:`SegmentCache`.  Owned by this
@@ -269,8 +255,6 @@ class ProvenanceStore:
         self.manifest = manifest
         self.run_indexes: Dict[int, StoreIndexes] = _RunIndexMap(self)
         self.read_stats = StoreReadStats()
-        self.default_codec = DEFAULT_CODEC
-        self.index_full_rewrite = False
         self.cache = (
             segment_cache
             if segment_cache is not None
@@ -287,15 +271,9 @@ class ProvenanceStore:
         self._index_lock = threading.Lock()
         self._stats_lock = threading.Lock()
         self._summary_lock = threading.Lock()
-        #: Format version of the manifest currently on disk; < 6 until the
-        #: first flush (or checkpoint) upgrades the layout in place.
-        self._disk_version = manifest.version
-        #: Log-append flushes between manifest checkpoints (v5); lower it
-        #: to bound replay work, raise it to amortize checkpoints further.
+        #: Log-append flushes between manifest checkpoints; lower it to
+        #: bound replay work, raise it to amortize checkpoints further.
         self.checkpoint_interval = DEFAULT_CHECKPOINT_INTERVAL
-        #: Benchmark knob: when true every flush writes a full manifest
-        #: checkpoint -- the v4 cost profile (O(#segments) per flush).
-        self.manifest_full_rewrite = False
         self._log = SegmentLog(os.path.join(path, SEGMENT_LOG_NAME))
         #: Next log record sequence number (monotonic, never reused).
         self._log_next_seq = manifest.log_seq + 1
@@ -350,10 +328,10 @@ class ProvenanceStore:
         segment_cache: Optional[SegmentCache] = None,
         index_pinner: Optional[IndexPinner] = None,
     ) -> "ProvenanceStore":
-        """Open an existing store directory (format version 2 through 6).
+        """Open an existing store directory (format version 6).
 
-        Opening reads the manifest checkpoint, then (format 5+) replays the
-        committed tail of ``segments.log`` on top of it -- each record
+        Opening reads the manifest checkpoint, then replays the committed
+        tail of ``segments.log`` on top of it -- each record
         appends the segments one flush sealed; a torn or invalid tail
         record stops the replay there, recovering exactly the flushes that
         committed.  The small cross-run page summary is read on demand and
@@ -366,17 +344,17 @@ class ProvenanceStore:
         ``segment_cache`` / ``index_pinner`` share a warm read path
         between handles (see :mod:`repro.store.cache`); sharing is for
         read-only serving.
+
+        Raises:
+            StoreError: No store at ``path``, or a manifest this build does
+                not read (another format version, a segment of another
+                codec).
         """
         manifest = cls._read_manifest(path)
         attempts = 3
         for attempt in range(attempts):
             store = cls(path, manifest, segment_cache=segment_cache, index_pinner=index_pinner)
             store._manifest_on_disk = True
-            # Versions 5 and 6 share the segment-log layout, so both
-            # replay; comparing against the *current* version here would
-            # silently skip a v5 store's logged flushes.
-            if manifest.version < STORE_FORMAT_VERSION_V5:
-                return store
             if store._replay_segment_log() or attempt == attempts - 1:
                 # A persistent gap after retries still leaves a consistent
                 # view: the checkpoint plus the contiguous log prefix.
@@ -502,9 +480,6 @@ class ProvenanceStore:
         return True
 
     def _run_index_dir(self, run_id: int) -> str:
-        if self._disk_version == STORE_FORMAT_VERSION_V2:
-            # PR-1 layout: one implicit run, flat index/ directory.
-            return os.path.join(self.path, INDEX_DIR)
         return os.path.join(self.path, INDEX_DIR, run_index_dir_name(run_id))
 
     def _load_run_indexes(self, run_id: int) -> StoreIndexes:
@@ -513,32 +488,26 @@ class ProvenanceStore:
         With an :class:`IndexPinner` attached, a generation that was
         merged before -- by this handle or any other handle sharing the
         pinner -- is returned resident instead of re-merging its base +
-        delta files; only v4 generation state is pinned (legacy JSON
-        loads and rebuilds are not reproducible from named generations).
+        delta files; only loaded generation state is pinned (a rebuild is
+        not reproducible from named generations).
         """
         run = self.manifest.run_info(run_id)
-        run_dir = self._run_index_dir(run_id)
-        pinnable = self._disk_version >= STORE_FORMAT_VERSION_V4
         valid = [info.segment_id for info in self.manifest.segments_of_run(run_id)]
-        if self.pinner is not None and pinnable:
+        if self.pinner is not None:
             pinned = self.pinner.get(
                 self.cache_namespace, run_id, run.index_base, run.index_deltas, run.nodes
             )
             if pinned is not None and pinned.is_consistent_with(valid, run.nodes):
                 return pinned
         try:
-            if pinnable:
-                indexes = StoreIndexes.load_v4(run_dir, run.index_base, run.index_deltas)
-            else:
-                indexes = StoreIndexes.load(run_dir)
-                # Loaded from the legacy JSON layout: not reproducible from
-                # v4 generation files, so the next flush must write a base.
-                indexes.needs_base = True
+            indexes = StoreIndexes.load(
+                self._run_index_dir(run_id), run.index_base, run.index_deltas
+            )
         except StoreError:
             return self._rebuild_indexes_from_segments(run_id)
         if not indexes.is_consistent_with(valid, run.nodes):
             return self._rebuild_indexes_from_segments(run_id)
-        if self.pinner is not None and pinnable:
+        if self.pinner is not None:
             self.pinner.put(
                 self.cache_namespace, run_id, run.index_base, run.index_deltas, run.nodes, indexes
             )
@@ -585,34 +554,17 @@ class ProvenanceStore:
         last durable point plus the (small) run table -- so a flush costs
         O(epoch) regardless of how many segments the store holds.  Every
         ``checkpoint_interval`` appends (and whenever the in-memory state
-        cannot be expressed as an append: store creation, a format
-        upgrade, after compact/gc) the manifest is rewritten as a fresh
+        cannot be expressed as an append: store creation, after
+        compact/gc) the manifest is rewritten as a fresh
         checkpoint and the log is reset instead; pass ``checkpoint=True``
         / ``False`` to force either path.  Every file goes through a
         temp-file + atomic rename, so a crash mid-flush leaves the
         previous consistent generation in place.
-
-        Flushing always writes the version-6 layout; a store opened as
-        version 2 through 5 is upgraded in place by its first flush
-        (legacy JSON indexes are folded into v4 base files; the manifest
-        checkpoint and segment log appear alongside the v4 files; for a
-        v5 store the upgrade is just the version stamp -- the layouts are
-        identical).
         """
-        if self._disk_version < STORE_FORMAT_VERSION_V4:
-            # In-place upgrade: fold every run's legacy indexes into v4
-            # bases now, so the upgraded manifest never references a run
-            # without generation files.
-            for run_id in self.run_ids():
-                self.run_indexes[run_id]  # force the lazy load
         for run_id, indexes in self.run_indexes.items():
             run_info = self.manifest.run_info(run_id)
-            run_dir = os.path.join(self.path, INDEX_DIR, run_index_dir_name(run_id))
-            if self.index_full_rewrite:
-                # v3 cost-profile emulation (see the class docstring).
-                indexes.save(run_dir)
-                indexes.clear_pending()
-            elif indexes.needs_base:
+            run_dir = self._run_index_dir(run_id)
+            if indexes.needs_base:
                 generation = run_info.next_index_gen
                 run_info.next_index_gen += 1
                 indexes.save_base(run_dir, generation)
@@ -640,9 +592,7 @@ class ProvenanceStore:
         if checkpoint is None:
             checkpoint = (
                 self._needs_checkpoint
-                or self.manifest_full_rewrite
                 or not self._manifest_on_disk
-                or self._disk_version != STORE_FORMAT_VERSION
                 or self._uncheckpointed_records >= self.checkpoint_interval
             )
         if checkpoint:
@@ -698,8 +648,6 @@ class ProvenanceStore:
             # folded it in evaporates from the page cache.
             os.fsync(handle.fileno())
         os.replace(scratch, manifest_path)
-        self.manifest.version = STORE_FORMAT_VERSION
-        self._disk_version = STORE_FORMAT_VERSION
         self._manifest_on_disk = True
         self._logged_segment_count = len(self.manifest.segments)
         self._uncheckpointed_records = 0
@@ -895,15 +843,12 @@ class ProvenanceStore:
         edges: Sequence[EdgeTuple],
         run: Optional[int] = None,
         topo_positions: Optional[Sequence[int]] = None,
-        codec: Optional[str] = None,
     ) -> int:
         """Encode ``nodes`` + ``edges`` and seal them as a new segment of ``run``.
 
-        The payload is encoded with ``codec`` (default: the store's
-        ``default_codec``); :meth:`seal_segment` does the rest.
+        :meth:`seal_segment` does the rest.
         """
-        codec_name = codec if codec is not None else self.default_codec
-        framed, raw_bytes = encode_segment(nodes, edges, codec=codec_name)
+        framed, raw_bytes = encode_segment(nodes, edges)
         return self.seal_segment(
             framed, raw_bytes, nodes, edges, run=run, topo_positions=topo_positions
         )
@@ -921,8 +866,7 @@ class ProvenanceStore:
 
         ``framed`` must be the frame of exactly ``nodes`` + ``edges``
         (``raw_bytes`` its uncompressed payload size): they feed the
-        indexes and the decoded-segment cache, and the frame's codec is
-        recorded in the manifest.  :meth:`append_segment` passes its own
+        indexes and the decoded-segment cache.  :meth:`append_segment` passes its own
         encoding; a writable server passes a client's frame it has
         already verified and decoded.  Topological ranks default to
         arrival order (the run's ``next_topo`` onwards); the whole-graph
@@ -932,7 +876,7 @@ class ProvenanceStore:
         The manifest and indexes are only updated in memory; call
         :meth:`flush` once the batch of appends is complete.
         """
-        codec_name = segment_codec_name(framed)  # checks the frame before any write
+        frame_header(framed)  # refuses a foreign frame before any write
         run_id = self.resolve_run(run)
         run_info = self.manifest.run_info(run_id)
         indexes = self.run_indexes[run_id]
@@ -969,7 +913,6 @@ class ProvenanceStore:
                 edges=len(edges),
                 raw_bytes=raw_bytes,
                 stored_bytes=len(framed),
-                codec=codec_name,
                 crc=zlib.crc32(framed) & 0xFFFFFFFF,
             )
         )
@@ -1003,7 +946,6 @@ class ProvenanceStore:
         segment_nodes: int = DEFAULT_SEGMENT_NODES,
         run_meta: Optional[dict] = None,
         workload: str = "",
-        codec: Optional[str] = None,
     ) -> int:
         """Ingest a finalized CPG as a **new run**; returns segments written.
 
@@ -1038,7 +980,6 @@ class ProvenanceStore:
                 edges,
                 run=run_id,
                 topo_positions=[topo_by_node[n] for n in batch],
-                codec=codec,
             )
             segments_written += 1
         self.manifest.run_info(run_id).status = RUN_COMPLETE
@@ -1053,16 +994,13 @@ class ProvenanceStore:
         segment_nodes: int = DEFAULT_SEGMENT_NODES,
         run_meta: Optional[dict] = None,
         workload: str = "",
-        codec: Optional[str] = None,
     ) -> int:
         """Ingest a CPG JSON file (v1 or v2) written with ``write_cpg``."""
         with open(path, "r", encoding="utf-8") as handle:
             cpg = cpg_from_json(handle.read())
         meta = {"source": os.path.basename(path)}
         meta.update(run_meta or {})
-        return self.ingest(
-            cpg, segment_nodes=segment_nodes, run_meta=meta, workload=workload, codec=codec
-        )
+        return self.ingest(cpg, segment_nodes=segment_nodes, run_meta=meta, workload=workload)
 
     # ------------------------------------------------------------------ #
     # Reading
@@ -1497,9 +1435,8 @@ class ProvenanceStore:
         shorter than a full segment, and the edge-only tail segments the
         sink appends for post-run data edges.  Compaction rewrites the
         run's segments in topological order (ranks are preserved), co-
-        locates every edge with its target node again, re-encodes every
-        segment with the store's ``default_codec``, and **folds the run's
-        pending index deltas into a fresh base file**.  With ``run=None``
+        locates every edge with its target node again, and **folds the
+        run's pending index deltas into a fresh base file**.  With ``run=None``
         every run is compacted.
 
         The rewrite is *streaming*: old segments are decoded one at a time
@@ -1529,15 +1466,15 @@ class ProvenanceStore:
             run_info = self.manifest.run_info(run_id)
             loaded = dict.get(self.run_indexes, run_id)
             if superseded or run_info.index_deltas or (loaded is not None and loaded.needs_base):
-                # Fold the run's pending deltas (and any legacy/rebuilt
-                # state) into a fresh base at the flush below.
+                # Fold the run's pending deltas (and any rebuilt state)
+                # into a fresh base at the flush below.
                 stats.index_delta_files_reclaimed += len(run_info.index_deltas)
                 self.run_indexes[run_id].needs_base = True
                 if self.pinner is not None:
                     self.pinner.invalidate(self.cache_namespace, run_id)
                 dirty = True
         stats.segments_after = self.manifest.segment_count
-        if dirty or self._disk_version < STORE_FORMAT_VERSION:
+        if dirty:
             # Compaction rewrote the segment table: only a checkpoint can
             # express that (the log is append-only).
             self.flush(checkpoint=True)
@@ -1567,13 +1504,9 @@ class ProvenanceStore:
         infos = self.manifest.segments_of_run(run_id)
         run_info = self.manifest.run_info(run_id)
         wanted = max(1, -(-run_info.nodes // segment_nodes)) if run_info.nodes else 1
-        if (
-            len(infos) <= wanted
-            and all(
-                info.nodes >= min(segment_nodes, run_info.nodes) or info is infos[-1]
-                for info in infos
-            )
-            and all(info.codec == self.default_codec for info in infos)
+        if len(infos) <= wanted and all(
+            info.nodes >= min(segment_nodes, run_info.nodes) or info is infos[-1]
+            for info in infos
         ):
             return [], 0  # already compact (also covers the 0/1-segment runs)
         old_index = self.run_indexes[run_id]
@@ -1640,7 +1573,7 @@ class ProvenanceStore:
                                 batch_edges.append(edge_from_dict(json.loads(line)))
                 segment_id = self.manifest.next_segment_id
                 self.manifest.next_segment_id += 1
-                framed, raw_bytes = encode_segment(batch, batch_edges, codec=self.default_codec)
+                framed, raw_bytes = encode_segment(batch, batch_edges)
                 path = os.path.join(self.path, SEGMENTS_DIR, segment_file_name(segment_id))
                 scratch = path + ".tmp"
                 with open(scratch, "wb") as handle:
@@ -1658,9 +1591,8 @@ class ProvenanceStore:
                         edges=len(batch_edges),
                         raw_bytes=raw_bytes,
                         stored_bytes=len(framed),
-                        codec=self.default_codec,
-                        # Transcoding backfills the checksum column: after
-                        # one compact() every segment of the run is covered.
+                        # Rewriting backfills the checksum column: after one
+                        # compact() every segment of the run is covered.
                         crc=zlib.crc32(framed) & 0xFFFFFFFF,
                     )
                 )
@@ -1823,8 +1755,7 @@ class ProvenanceStore:
 
         Covers segment files, index base/delta generations no run
         references (superseded by a fold, or strays from a crashed
-        flush/compaction), the legacy JSON index files of runs that have a
-        v4 base, and stale compaction spill directories.  Only maintenance
+        flush/compaction), and stale compaction spill directories.  Only maintenance
         operations sweep (never :meth:`open`): a streaming sink with
         ``flush_every_epochs > 1`` legitimately leaves committed segment
         files briefly ahead of the manifest, and sweeping on every open
@@ -1860,14 +1791,9 @@ class ProvenanceStore:
             for name in os.listdir(index_dir):
                 match = _RUN_DIR_RE.match(name)
                 if match is None:
-                    # v2 leftovers: the flat index files of an upgraded
-                    # single-run store (never the cross-run summary) --
-                    # and crashed-rename scratch files.
-                    stray = name.endswith(".tmp") or (
-                        name in LEGACY_INDEX_FILES
-                        and self._disk_version >= STORE_FORMAT_VERSION_V4
-                    )
-                    if stray:
+                    # Crashed-rename scratch files (never the cross-run
+                    # summary itself).
+                    if name.endswith(".tmp"):
                         freed += remove(os.path.join(index_dir, name))
                     continue
                 run_id = int(match.group(1))
@@ -1879,7 +1805,7 @@ class ProvenanceStore:
         return freed
 
     def _sweep_run_index_dir(self, run_id: int, run_dir: str) -> int:
-        """Drop index generations (and superseded legacy files) of one run."""
+        """Drop index generations no longer referenced by one run."""
         run_info = self.manifest.run_info(run_id)
         freed = 0
         for name in os.listdir(run_dir):
@@ -1891,10 +1817,6 @@ class ProvenanceStore:
                 stale = int(base_match.group(1)) != run_info.index_base
             elif delta_match is not None:
                 stale = int(delta_match.group(1)) not in run_info.index_deltas
-            elif name in LEGACY_INDEX_FILES and run_info.index_base > 0:
-                # The run's state lives in v4 generation files now; the
-                # JSON files it was upgraded from are superseded.
-                stale = True
             if stale:
                 try:
                     freed += os.path.getsize(path)
@@ -1987,7 +1909,7 @@ class ProvenanceStore:
         runs = [self.run_summary(run_id) for run_id in self.run_ids()]
         return {
             "path": self.path,
-            "format_version": manifest.version,
+            "format_version": STORE_FORMAT_VERSION,
             "segments": manifest.segment_count,
             "quarantined_segments": sorted(manifest.quarantined),
             "codecs": codecs,

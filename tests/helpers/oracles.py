@@ -11,7 +11,7 @@
   that :func:`repro.memory.diff.diff_page` replaced.
 * :func:`encode_payload_reference` / :func:`decode_payload_reference` are
   the original per-integer loops of the columnar binary segment payload
-  that :class:`repro.store.codecs.BinarySegmentCodec` replaced with bulk
+  that :class:`repro.store.codecs.SegmentCodec` replaced with bulk
   column operations; the fast encoder must emit the same bytes and the
   fast decoder must rebuild the same nodes and edges.
 * :func:`lineage_of_pages_reference` is the original page-lineage query:

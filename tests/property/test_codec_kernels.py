@@ -1,6 +1,6 @@
 """The bulk binary-codec kernels equal the loop-based reference codec.
 
-:class:`~repro.store.codecs.BinarySegmentCodec` packs and unpacks whole
+:class:`~repro.store.codecs.SegmentCodec` packs and unpacks whole
 columns at a time; ``tests/helpers/oracles.py`` keeps the original
 per-integer loops.  The fast encoder must emit the reference bytes exactly
 (the on-disk format is unchanged), and the fast decoder must rebuild every
@@ -20,13 +20,11 @@ from repro.core.cpg import EdgeKind
 from repro.core.thunk import BranchRecord, SubComputation, Thunk
 from repro.core.vector_clock import VectorClock
 from repro.inspector.api import run_with_provenance
-from repro.store.codecs import CODECS
+from repro.store.codecs import CODEC, CODECS
 from repro.store.format import SEGMENT_MAGIC_PREFIX
 from repro.store.segment import frame_header
 
 from helpers.oracles import decode_payload_reference, encode_payload_reference
-
-BINARY = CODECS["binary"]
 
 _ints = st.integers(min_value=-(2**40), max_value=2**40)
 _counts = st.integers(min_value=0, max_value=2**33)
@@ -128,7 +126,7 @@ def edge_fields(edge):
 
 
 def assert_same_decode(raw):
-    fast_nodes, fast_edges = BINARY.decode_payload(raw)
+    fast_nodes, fast_edges = CODEC.decode_payload(raw)
     ref_nodes, ref_edges = decode_payload_reference(raw)
     assert [node_fields(node) for node in fast_nodes] == [node_fields(node) for node in ref_nodes]
     assert [edge_fields(edge) for edge in fast_edges] == [edge_fields(edge) for edge in ref_edges]
@@ -138,7 +136,7 @@ def assert_same_decode(raw):
 @given(nodes_and_edges())
 def test_fast_encode_emits_the_reference_bytes(batch):
     nodes, edges = batch
-    assert BINARY.encode_payload(nodes, edges) == encode_payload_reference(nodes, edges)
+    assert CODEC.encode_payload(nodes, edges) == encode_payload_reference(nodes, edges)
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -154,9 +152,9 @@ def test_zero_clock_components_are_dropped_and_empty_clocks_stay_empty():
         SubComputation(2, 0, VectorClock.adopt({})),
         SubComputation(3, 0, VectorClock.adopt({4: 0})),
     ]
-    raw = BINARY.encode_payload(nodes, [])
+    raw = CODEC.encode_payload(nodes, [])
     assert raw == encode_payload_reference(nodes, [])
-    decoded, _ = BINARY.decode_payload(raw)
+    decoded, _ = CODEC.decode_payload(raw)
     assert [node.clock.as_dict() for node in decoded] == [{2: 5}, {}, {}]
     assert_same_decode(raw)
 
@@ -185,7 +183,7 @@ def test_real_segments_round_trip_through_both_kernels(tmp_path, workload, size,
         assert len(raw) == raw_bytes
         assert_same_decode(raw)
         nodes, edges = decode_payload_reference(raw)
-        assert BINARY.encode_payload(nodes, edges) == raw
+        assert CODEC.encode_payload(nodes, edges) == raw
         for node in nodes:
             widest["clock"] = max(widest["clock"], len(node.clock.as_dict()))
             widest["thunks"] = max(widest["thunks"], len(node.thunks))

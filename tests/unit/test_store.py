@@ -403,7 +403,10 @@ class TestStoreSink:
         store.flush()
         store.append_segment(second, [], run=run_id)
         # Indexes one generation ahead of the manifest:
-        store.indexes.save(os.path.join(str(tmp_path), INDEX_DIR, run_index_dir_name(run_id)))
+        store.indexes.save_base(
+            os.path.join(str(tmp_path), INDEX_DIR, run_index_dir_name(run_id)),
+            store.manifest.run_info(run_id).next_index_gen,
+        )
         reopened = ProvenanceStore.open(str(tmp_path))
         assert reopened.manifest.segment_count == 1
         assert set(reopened.load_cpg().nodes()) == {node.node_id for node in first}

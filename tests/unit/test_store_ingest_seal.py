@@ -1,17 +1,18 @@
-"""Remote ingest seals a client's frame verbatim; binary decoding is strict.
+"""Remote ingest seals a client's frame verbatim; segment decoding is strict.
 
 A writable server CRC-verifies and decodes every ``append_epoch`` frame
 (its indexes, the collision check and the cache need the nodes), then
-writes a checksummed frame that is already in the target codec as it
-arrived, without encoding it again.  These tests check that the segment
-files stay byte-identical to a local ingest, that the server makes no
-encode call for such frames, that every other frame is still re-encoded,
-and that a corrupt frame -- trailing bytes, a negative clock component,
-a repeated node -- is refused with a typed error before anything is
+writes a checksummed frame as it arrived, without encoding it again.
+These tests check that the segment files stay byte-identical to a local
+ingest, that the server makes no encode call for such frames, that a
+frame without a checksum is still re-encoded, and that a corrupt frame --
+trailing bytes, a negative clock component, a repeated node, a frame of a
+retired codec -- is refused with a typed error before anything is
 written.
 """
 
 import base64
+import json
 import os
 import zlib
 
@@ -23,22 +24,26 @@ from repro.core.vector_clock import VectorClock
 from repro.errors import CorruptSegmentError, StoreError
 from repro.inspector.api import run_with_provenance
 from repro.store import ProvenanceStore, StoreClient, StoreServer
+from repro.compression.lz import compress as lz_compress
+from repro.core.serialization import FORMAT_VERSION_V2, subcomputation_to_dict
 from repro.store import store as store_module
-from repro.store.codecs import CODECS, CRC_FRAME_FLAG
+from repro.store.codecs import CODEC, CRC_FRAME_FLAG
 from repro.store.format import SEGMENT_MAGIC_PREFIX, SEGMENTS_DIR
 from repro.store.segment import decode_segment, encode_segment, frame_header
 
 
-def frame(raw: bytes, codec: str = "binary", checksummed: bool = True) -> bytes:
-    """Frame an arbitrary payload exactly as ``encode_segment`` frames one."""
-    chosen = CODECS[codec]
-    body = chosen.compress_frame(raw)
+def frame(
+    raw: bytes, checksummed: bool = True, frame_byte: int = CODEC.frame_byte, body=None
+) -> bytes:
+    """Frame a payload as ``encode_segment`` frames one (``body`` overrides zlib)."""
+    if body is None:
+        body = CODEC.compress_frame(raw)
     if not checksummed:
-        header = SEGMENT_MAGIC_PREFIX + bytes((chosen.frame_byte,))
+        header = SEGMENT_MAGIC_PREFIX + bytes((frame_byte,))
         return header + len(raw).to_bytes(8, "little") + body
     return (
         SEGMENT_MAGIC_PREFIX
-        + bytes((chosen.frame_byte | CRC_FRAME_FLAG,))
+        + bytes((frame_byte | CRC_FRAME_FLAG,))
         + len(raw).to_bytes(8, "little")
         + (zlib.crc32(body) & 0xFFFFFFFF).to_bytes(4, "little")
         + body
@@ -61,12 +66,32 @@ def epoch(first_index: int = 0, count: int = 3):
 
 def negative_clock_frame() -> bytes:
     node = SubComputation(1, 0, VectorClock.adopt({1: 1, 2: -3}))
-    return encode_segment([node], [], codec="binary-z")[0]
+    return encode_segment([node], [])[0]
 
 
 def trailing_bytes_frame() -> bytes:
     nodes, edges = epoch()
-    return frame(CODECS["binary"].encode_payload(nodes, edges) + b"\x00", codec="binary-z")
+    return frame(CODEC.encode_payload(nodes, edges) + b"\x00")
+
+
+def json_codec_frame() -> bytes:
+    """A frame of the retired ``json`` codec: lz-compressed JSON, byte 0x02."""
+    nodes, _ = epoch()
+    document = {
+        "format_version": FORMAT_VERSION_V2,
+        "kind": "cpg-segment",
+        "nodes": [subcomputation_to_dict(node) for node in nodes],
+        "edges": [],
+    }
+    raw = json.dumps(document, sort_keys=True).encode("utf-8")
+    return frame(raw, checksummed=False, frame_byte=0x02, body=lz_compress(raw))
+
+
+def binary_codec_frame() -> bytes:
+    """A frame of the retired uncompressed ``binary`` codec, byte 0x03."""
+    nodes, edges = epoch()
+    raw = CODEC.encode_payload(nodes, edges)
+    return frame(raw, frame_byte=0x03, body=raw)
 
 
 def segment_files(store_dir):
@@ -91,7 +116,7 @@ def writable(tmp_path):
 
 @pytest.fixture()
 def server_encodes(monkeypatch):
-    """Counts ``encode_segment`` calls made by the store (the server side).
+    """Records ``encode_segment`` calls made by the store (the server side).
 
     The client encodes through ``repro.store.server``'s binding of the
     same function, which this counter does not see.
@@ -99,7 +124,7 @@ def server_encodes(monkeypatch):
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(kwargs.get("codec"))
+        calls.append(args)
         return encode_segment(*args, **kwargs)
 
     monkeypatch.setattr(store_module, "encode_segment", counted)
@@ -135,48 +160,18 @@ class TestVerbatimSeal:
         with ProvenanceStore.open(store_dir) as store:
             assert {info.codec for info in store.manifest.segments} == {"binary-z"}
 
-    def test_binary_frame_to_a_binary_z_store_is_reencoded(self, writable, server_encodes):
-        store_dir, _, client = writable
-        run_id = client.begin_run(workload="w")
-        nodes, edges = epoch()
-        framed, _ = encode_segment(nodes, edges, codec="binary")
-        reply = client.request(
-            "append_epoch", run=run_id, segment=base64.b64encode(framed).decode("ascii")
-        )
-        assert reply["result"]["nodes"] == len(nodes)
-        assert server_encodes == ["binary-z"]
-        with ProvenanceStore.open(store_dir) as store:
-            (info,) = store.manifest.segments
-            assert info.codec == "binary-z"
-            assert info.raw_bytes == encode_segment(nodes, edges, codec="binary-z")[1]
-        assert segment_files(store_dir) == [encode_segment(nodes, edges, codec="binary-z")[0]]
-
-    def test_request_codec_names_the_target(self, writable, server_encodes):
-        store_dir, _, client = writable
-        run_id = client.begin_run(workload="w")
-        nodes, edges = epoch()
-        client.append_epoch(run_id, nodes, edges, codec="binary")
-        assert server_encodes == []
-        framed, raw_bytes = encode_segment(nodes, edges, codec="binary")
-        assert segment_files(store_dir) == [framed]
-        with ProvenanceStore.open(store_dir) as store:
-            (info,) = store.manifest.segments
-            assert info.codec == "binary"
-            assert (info.raw_bytes, info.stored_bytes) == (raw_bytes, len(framed))
-            assert info.crc == zlib.crc32(framed) & 0xFFFFFFFF
-
     def test_unchecksummed_frame_is_reencoded_with_a_checksum(self, writable, server_encodes):
         store_dir, _, client = writable
         run_id = client.begin_run(workload="w")
         nodes, edges = epoch()
-        legacy = frame(CODECS["binary"].encode_payload(nodes, edges), "binary-z", checksummed=False)
+        legacy = frame(CODEC.encode_payload(nodes, edges), checksummed=False)
         assert frame_header(legacy)[2] is False
         client.request(
             "append_epoch", run=run_id, segment=base64.b64encode(legacy).decode("ascii")
         )
-        assert server_encodes == ["binary-z"]
+        assert len(server_encodes) == 1
         (stored,) = segment_files(store_dir)
-        assert stored == encode_segment(nodes, edges, codec="binary-z")[0]
+        assert stored == encode_segment(nodes, edges)[0]
         assert frame_header(stored)[2] is True
 
 
@@ -253,4 +248,37 @@ class TestStrictDecode:
         with pytest.raises(CorruptSegmentError, match=f"segment {bad} is corrupt") as caught:
             cold.segment(bad)
         assert match in str(caught.value)
+        assert caught.value.segment_id == bad
+
+    @pytest.mark.parametrize(
+        "make,byte", [(json_codec_frame, "0x02"), (binary_codec_frame, "0x83")]
+    )
+    def test_retired_codec_frame_is_refused(self, make, byte):
+        with pytest.raises(StoreError, match=f"unsupported segment frame byte {byte}"):
+            decode_segment(make())
+
+    @pytest.mark.parametrize(
+        "make,byte", [(json_codec_frame, "0x02"), (binary_codec_frame, "0x83")]
+    )
+    def test_server_refuses_a_retired_codec_frame(self, writable, make, byte):
+        store_dir, server, _ = writable
+        assert_refused(server, store_dir, make(), f"unsupported segment frame byte {byte}")
+
+    @pytest.mark.parametrize(
+        "make,byte", [(json_codec_frame, "0x02"), (binary_codec_frame, "0x83")]
+    )
+    def test_cold_read_names_a_retired_codec_segment(self, tmp_path, make, byte):
+        store_dir = str(tmp_path / "store")
+        store = ProvenanceStore.create(store_dir)
+        run_id = store.new_run(workload="w")
+        store.append_segment(*epoch(), run=run_id)
+        bad = store.append_segment(*epoch(10), run=run_id)
+        store.flush()
+        # seal_segment refuses a foreign frame, so plant it on disk directly.
+        with open(os.path.join(store_dir, SEGMENTS_DIR, f"seg-{bad:08d}.seg"), "wb") as handle:
+            handle.write(make())
+        cold = ProvenanceStore.open(store_dir)
+        with pytest.raises(CorruptSegmentError, match=f"segment {bad} is corrupt") as caught:
+            cold.segment(bad)
+        assert f"unsupported segment frame byte {byte}" in str(caught.value)
         assert caught.value.segment_id == bad

@@ -1,9 +1,9 @@
 """Store format 4: codecs, append-only index deltas, streaming compaction.
 
 Covers the v4 refactor's own guarantees on top of the existing store
-suites: v3 stores open/query identically and upgrade in place, mixed-codec
-stores decode correctly through the query engine, torn index-delta
-generations are recovered from segments, compaction streams instead of
+suites: the frame byte identifies the codec and a frame of a retired codec
+is refused before any write, torn index-delta generations are recovered
+from segments, compaction streams instead of
 materializing whole runs, and the cross-run page summary skips runs
 without loading their indexes.
 """
@@ -21,7 +21,6 @@ from repro.core.thunk import SubComputation
 from repro.core.vector_clock import VectorClock
 from repro.errors import StoreError
 from repro.store import (
-    DEFAULT_CODEC,
     STORE_FORMAT_VERSION,
     ProvenanceStore,
     StoreIndexes,
@@ -30,14 +29,14 @@ from repro.store import (
 )
 from repro.store.format import (
     INDEX_DIR,
-    MANIFEST_NAME,
     PAGES_RUNS_FILE,
-    STORE_FORMAT_VERSION_V3,
+    SEGMENT_CODEC,
+    SEGMENT_MAGIC_PREFIX,
     index_base_file_name,
     index_delta_file_name,
     run_index_dir_name,
 )
-from repro.store.segment import decode_segment, encode_segment, segment_codec_name
+from repro.store.segment import decode_segment, encode_segment, frame_header
 
 
 def build_example_cpg():
@@ -108,97 +107,6 @@ def assert_engine_matches_memory(store_dir, cpg, run=None):
     assert mine.tainted_pages == reference.tainted_pages
 
 
-def downgrade_to_v3(store_dir):
-    """Rewrite a (json-codec) v4 store directory as a genuine v3 store.
-
-    The inverse of the in-place upgrade: whole-index JSON files, a
-    version-3 manifest without codec/index-generation columns, and no v4
-    artefacts -- byte-layout-wise what PR 2 wrote.
-    """
-    store = ProvenanceStore.open(store_dir)
-    for run_id in store.run_ids():
-        run_dir = os.path.join(store_dir, INDEX_DIR, run_index_dir_name(run_id))
-        store.indexes_for(run_id).save(run_dir)
-        for name in os.listdir(run_dir):
-            if name.endswith(".bin"):
-                os.remove(os.path.join(run_dir, name))
-    summary = os.path.join(store_dir, INDEX_DIR, PAGES_RUNS_FILE)
-    if os.path.exists(summary):
-        os.remove(summary)
-    manifest_path = os.path.join(store_dir, MANIFEST_NAME)
-    with open(manifest_path, "r", encoding="utf-8") as handle:
-        document = json.load(handle)
-    document["version"] = STORE_FORMAT_VERSION_V3
-    for entry in document["segments"]:
-        assert entry["codec"] == "json", "v3 fixtures must hold json segments"
-        del entry["codec"]
-    for entry in document["runs"]:
-        for key in ("index_base", "index_deltas", "next_index_gen"):
-            entry.pop(key, None)
-    with open(manifest_path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, sort_keys=True)
-
-
-@pytest.fixture()
-def v3_store(tmp_path):
-    cpg = build_example_cpg()
-    store_dir = str(tmp_path / "v3-store")
-    ProvenanceStore.create(store_dir).ingest(
-        cpg, segment_nodes=3, workload="legacy", codec="json"
-    )
-    downgrade_to_v3(store_dir)
-    return cpg, store_dir
-
-
-# ---------------------------------------------------------------------- #
-# v3 back-compat and in-place upgrade
-# ---------------------------------------------------------------------- #
-
-
-class TestV3BackCompat:
-    def test_v3_store_opens_and_queries_identically(self, v3_store):
-        cpg, store_dir = v3_store
-        store = ProvenanceStore.open(store_dir)
-        assert store.manifest.version == STORE_FORMAT_VERSION_V3
-        assert all(info.codec == "json" for info in store.manifest.segments)
-        assert_engine_matches_memory(store_dir, cpg)
-
-    def test_first_write_upgrades_v3_store_in_place(self, v3_store):
-        cpg, store_dir = v3_store
-        store = ProvenanceStore.open(store_dir)
-        store.ingest(build_example_cpg(), workload="fresh")  # default binary codec
-        reopened = ProvenanceStore.open(store_dir)
-        assert reopened.manifest.version == STORE_FORMAT_VERSION
-        # The legacy run's JSON indexes were folded into a v4 base file.
-        legacy_run = reopened.manifest.run_info(1)
-        assert legacy_run.index_base > 0
-        run_dir = os.path.join(store_dir, INDEX_DIR, run_index_dir_name(1))
-        assert index_base_file_name(legacy_run.index_base) in os.listdir(run_dir)
-        assert_engine_matches_memory(store_dir, cpg, run=1)
-        assert_engine_matches_memory(store_dir, build_example_cpg(), run=2)
-
-    def test_compaction_sweeps_superseded_legacy_index_files(self, v3_store):
-        _, store_dir = v3_store
-        store = ProvenanceStore.open(store_dir)
-        store.compact(segment_nodes=64)
-        run_dir = os.path.join(store_dir, INDEX_DIR, run_index_dir_name(1))
-        names = os.listdir(run_dir)
-        assert not any(name.endswith(".json") for name in names)
-        assert any(name.startswith("base-") for name in names)
-        # The compacted segments were transcoded to the default codec.
-        reopened = ProvenanceStore.open(store_dir)
-        assert all(info.codec == DEFAULT_CODEC for info in reopened.manifest.segments)
-
-    def test_v3_store_with_torn_index_rebuilds_lazily(self, v3_store):
-        cpg, store_dir = v3_store
-        # Corrupt one legacy index file: load must fall back to a rebuild
-        # from the committed segments.
-        run_dir = os.path.join(store_dir, INDEX_DIR, run_index_dir_name(1))
-        with open(os.path.join(run_dir, "nodes.json"), "w", encoding="utf-8") as handle:
-            handle.write("{ definitely not json")
-        assert_engine_matches_memory(store_dir, cpg)
-
-
 # ---------------------------------------------------------------------- #
 # Codec layer
 # ---------------------------------------------------------------------- #
@@ -208,56 +116,25 @@ class TestCodecs:
     def test_frame_byte_identifies_codec(self):
         cpg = build_example_cpg()
         nodes = [cpg.subcomputation(node_id) for node_id in cpg.topological_order()]
-        for codec in ("json", "binary", "binary-z"):
-            framed, _ = encode_segment(nodes, [], codec=codec)
-            assert segment_codec_name(framed) == codec
-            assert set(decode_segment(framed).nodes) == {node.node_id for node in nodes}
+        framed, raw_bytes = encode_segment(nodes, [])
+        assert framed[len(SEGMENT_MAGIC_PREFIX)] & 0x7F == 0x04
+        assert frame_header(framed) == (SEGMENT_CODEC, raw_bytes, True)
+        assert set(decode_segment(framed).nodes) == {node.node_id for node in nodes}
 
     def test_unknown_codec_rejected_before_any_write(self, tmp_path):
         store = ProvenanceStore.create(str(tmp_path))
         run_id = store.new_run(workload="x")
-        with pytest.raises(StoreError, match="unknown segment codec"):
-            store.append_segment([make_node(1, 0)], [], run=run_id, codec="protobuf")
+        nodes = [make_node(1, 0)]
+        framed, raw_bytes = encode_segment(nodes, [])
+        prefix = len(SEGMENT_MAGIC_PREFIX)
+        # The retired json (0x02) and binary (0x03) codecs, and a byte no
+        # codec ever used.
+        for frame_byte in (0x82, 0x83, 0x85):
+            foreign = framed[:prefix] + bytes((frame_byte,)) + framed[prefix + 1 :]
+            with pytest.raises(StoreError, match=f"frame byte 0x{frame_byte:02x}"):
+                store.seal_segment(foreign, raw_bytes, nodes, [], run=run_id)
         assert store.manifest.segment_count == 0
-
-    def test_mixed_codec_run_queries_identically(self, tmp_path):
-        cpg = build_example_cpg()
-        store_dir = str(tmp_path / "mixed")
-        store = ProvenanceStore.create(store_dir)
-        run_id = store.new_run(workload="mixed")
-        order = cpg.topological_order()
-        topo = {node_id: rank for rank, node_id in enumerate(order)}
-        edges_by_target = {}
-        for source, target, attrs in cpg.edges():
-            kind = attrs["kind"]
-            extra = {key: value for key, value in attrs.items() if key != "kind"}
-            edges_by_target.setdefault(target, []).append((source, target, kind, extra))
-        for position, start in enumerate(range(0, len(order), 3)):
-            batch = order[start : start + 3]
-            nodes = [cpg.subcomputation(node_id) for node_id in batch]
-            edges = [edge for node_id in batch for edge in edges_by_target.get(node_id, ())]
-            store.append_segment(
-                nodes,
-                edges,
-                run=run_id,
-                topo_positions=[topo[node_id] for node_id in batch],
-                codec="json" if position % 2 else "binary",
-            )
-        store.flush()
-        codecs = {info.codec for info in store.manifest.segments}
-        assert codecs == {"json", "binary"}
-        assert_engine_matches_memory(store_dir, cpg)
-
-    def test_mixed_codec_runs_across_one_store(self, tmp_path):
-        cpg = build_example_cpg()
-        store_dir = str(tmp_path / "runs")
-        store = ProvenanceStore.create(store_dir)
-        store.ingest(cpg, segment_nodes=3, workload="a", codec="json")
-        store.ingest(cpg, segment_nodes=3, workload="b", codec="binary")
-        info = ProvenanceStore.open(store_dir).info()
-        assert set(info["codecs"]) == {"json", "binary"}
-        assert_engine_matches_memory(store_dir, cpg, run=1)
-        assert_engine_matches_memory(store_dir, cpg, run=2)
+        assert os.listdir(os.path.join(str(tmp_path), "segments")) == []
 
 
 # ---------------------------------------------------------------------- #
@@ -565,15 +442,15 @@ class TestIntrospection:
         store_dir = str(tmp_path / "stream")
         store, sink = stream_run(store_dir, epochs=4)
         summary = store.info()
-        assert summary["codecs"] == {DEFAULT_CODEC: summary["segments"]}
-        per_codec = summary["codec_bytes"][DEFAULT_CODEC]
+        assert summary["codecs"] == {SEGMENT_CODEC: summary["segments"]}
+        per_codec = summary["codec_bytes"][SEGMENT_CODEC]
         assert per_codec["segments"] == summary["segments"]
         assert per_codec["stored_bytes"] == summary["stored_bytes"]
         assert per_codec["stored_bytes"] > 0 and per_codec["raw_bytes"] > 0
         assert summary["index_delta_files"] > 0
         assert summary["index_delta_bytes"] > 0
         run = summary["runs"][0]
-        assert run["codecs"] == {DEFAULT_CODEC: run["segments"]}
+        assert run["codecs"] == {SEGMENT_CODEC: run["segments"]}
         assert run["index_delta_files"] == len(
             store.manifest.run_info(sink.run_id).index_deltas
         )

@@ -1,9 +1,8 @@
 """Store format 6: compressed columnar codec + parallel decode + single-flight.
 
 Covers the v6 read path on top of the existing store suites: the
-``binary-z`` default codec compresses on disk but answers identically,
-v5 (and v4) stores open unchanged -- including the segment-log replay a
-naive version gate would have skipped -- and transcode only on compact,
+``binary-z`` codec compresses on disk, older manifest versions and
+segment rows of retired codecs are refused with a typed error at open,
 cold misses are single-flight (a stampede of readers decodes each
 segment exactly once), the store's shared decode pools are created
 lazily and shut down by ``close()`` (after which reads degrade to
@@ -24,15 +23,15 @@ from repro.core.thunk import SubComputation
 from repro.core.vector_clock import VectorClock
 from repro.errors import StoreError
 from repro.store import (
-    DEFAULT_CODEC,
+    CODECS,
+    SEGMENT_LOG_NAME,
     STORE_FORMAT_VERSION,
-    STORE_FORMAT_VERSION_V5,
     ProvenanceStore,
+    SegmentLog,
     SegmentCache,
-    StoreQueryEngine,
     StoreSink,
 )
-from repro.store.format import MANIFEST_NAME
+from repro.store.format import MANIFEST_NAME, SUPPORTED_STORE_VERSIONS
 
 
 def make_node(tid, index, reads=(), writes=()):
@@ -59,17 +58,8 @@ def build_store(store_dir, epochs=6, nodes_per_epoch=4, finish=True):
     return store, sink
 
 
-def downgrade_manifest_version(store_dir, version):
-    manifest_path = os.path.join(store_dir, MANIFEST_NAME)
-    with open(manifest_path, "r", encoding="utf-8") as handle:
-        document = json.load(handle)
-    document["version"] = version
-    with open(manifest_path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, sort_keys=True)
-
-
 # ---------------------------------------------------------------------- #
-# The compressed default codec
+# The compressed codec
 # ---------------------------------------------------------------------- #
 
 
@@ -85,77 +75,66 @@ class TestCompressedDefault:
         # The whole point: compressed on disk, by a real margin.
         assert per["stored_bytes"] < per["raw_bytes"]
 
-    def test_compressed_store_answers_identically_to_uncompressed(self, tmp_path):
-        answers = {}
-        for codec in ("binary", "binary-z"):
-            store_dir = str(tmp_path / codec)
-            store = ProvenanceStore.open_or_create(store_dir)
-            run = store.new_run(workload=codec)
-            nodes = [make_node(1, i, reads={i % 5}, writes={50 + i}) for i in range(12)]
-            edges = [
-                ((1, i - 1), (1, i), EdgeKind.CONTROL, {}) for i in range(1, 12)
-            ]
-            store.append_segment(nodes, edges, run=run, codec=codec)
-            store.flush()
-            engine = StoreQueryEngine(ProvenanceStore.open(store_dir))
-            answers[codec] = engine.backward_slice((1, 11), run=1)
-        assert answers["binary"] == answers["binary-z"]
-
 
 # ---------------------------------------------------------------------- #
-# Back-compat: v5 and v4 stores under the v6 software
+# Retired formats are refused, never decoded wrongly
 # ---------------------------------------------------------------------- #
 
 
-class TestV5BackCompat:
-    def test_v5_store_opens_with_log_replay(self, tmp_path):
-        # The critical gate: an unfinished v5 store keeps committed epochs
-        # only in segments.log; opening it under v6 must still replay
-        # them (a naive `version < current` replay gate would not).
-        store_dir = str(tmp_path / "v5-store")
-        store, sink = build_store(store_dir, epochs=4, finish=False)
-        assert store.log_state()["uncheckpointed_records"] > 0
-        downgrade_manifest_version(store_dir, STORE_FORMAT_VERSION_V5)
-        reopened = ProvenanceStore.open(store_dir)
-        assert reopened.manifest.version == STORE_FORMAT_VERSION_V5
-        assert reopened.manifest.node_count == 16
-        assert StoreQueryEngine(reopened).backward_slice((1, 15), run=sink.run_id)
+def rewrite_manifest(store_dir, edit):
+    manifest_path = os.path.join(store_dir, MANIFEST_NAME)
+    with open(manifest_path, "r", encoding="utf-8") as handle:
+        document = json.load(handle)
+    edit(document)
+    with open(manifest_path, "w", encoding="utf-8") as handle:
+        json.dump(document, handle, sort_keys=True)
 
-    def test_v5_store_reads_never_rewrite_a_byte(self, tmp_path):
-        store_dir = str(tmp_path / "v5-store")
-        build_store(store_dir, epochs=3)
-        downgrade_manifest_version(store_dir, STORE_FORMAT_VERSION_V5)
-        before = {}
-        for root, _, names in os.walk(store_dir):
-            for name in names:
-                path = os.path.join(root, name)
-                before[path] = os.path.getsize(path)
-        store = ProvenanceStore.open(store_dir)
-        StoreQueryEngine(store).backward_slice((1, 11), run=1)
-        after = {}
-        for root, _, names in os.walk(store_dir):
-            for name in names:
-                path = os.path.join(root, name)
-                after[path] = os.path.getsize(path)
-        assert before == after
 
-    def test_compact_transcodes_old_codecs_to_compressed(self, tmp_path):
+class TestRetiredFormatsRefused:
+    def test_store_reads_one_format_and_one_codec(self):
+        assert SUPPORTED_STORE_VERSIONS == (STORE_FORMAT_VERSION,) == (6,)
+        assert list(CODECS) == ["binary-z"]
+
+    @pytest.mark.parametrize("version", [2, 3, 4, 5])
+    def test_older_manifest_version_is_refused(self, tmp_path, version):
         store_dir = str(tmp_path / "store")
-        store = ProvenanceStore.open_or_create(store_dir)
-        run = store.new_run(workload="old")
-        for start in (0, 4, 8):
-            store.append_segment(
-                [make_node(1, start + i) for i in range(4)], [], run=run, codec="binary"
-            )
-        store.flush()
-        assert set(info.codec for info in store.manifest.segments) == {"binary"}
-        stored_before = sum(info.stored_bytes for info in store.manifest.segments)
-        store.compact(segment_nodes=64)
+        build_store(store_dir, epochs=2)
+        rewrite_manifest(store_dir, lambda document: document.update(version=version))
+        with pytest.raises(StoreError, match=f"version {STORE_FORMAT_VERSION}") as caught:
+            ProvenanceStore.open(store_dir)
+        assert f"version {version}" in str(caught.value)
+
+    @pytest.mark.parametrize("codec", [None, "json", "binary"])
+    def test_segment_row_of_another_codec_is_refused(self, tmp_path, codec):
+        store_dir = str(tmp_path / "store")
+        build_store(store_dir, epochs=2)
+
+        def edit(document):
+            row = document["segments"][0]
+            if codec is None:
+                del row["codec"]
+            else:
+                row["codec"] = codec
+
+        rewrite_manifest(store_dir, edit)
+        with pytest.raises(StoreError, match="binary-z"):
+            ProvenanceStore.open(store_dir)
+
+    def test_log_record_of_another_codec_is_not_replayed(self, tmp_path):
+        store_dir = str(tmp_path / "store")
+        build_store(store_dir, epochs=4, finish=False)
+        log = SegmentLog(os.path.join(store_dir, SEGMENT_LOG_NAME))
+        records = log.scan()
+        assert len(records) >= 2
+        records[-1]["segments"][0]["codec"] = "binary"
+        log.reset()
+        for record in records:
+            log.append(record)
         reopened = ProvenanceStore.open(store_dir)
-        assert all(info.codec == DEFAULT_CODEC for info in reopened.manifest.segments)
-        stored_after = sum(info.stored_bytes for info in reopened.manifest.segments)
-        assert stored_after < stored_before
-        assert StoreQueryEngine(reopened).backward_slice((1, 11), run=1)
+        # Replay stops at the record naming a retired codec, so its
+        # segment is never handed to a decoder.
+        assert records[-1]["segments"][0]["id"] not in reopened.manifest.segment_ids()
+        assert reopened.manifest.node_count == records[-2]["node_count"]
 
 
 # ---------------------------------------------------------------------- #
