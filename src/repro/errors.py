@@ -129,8 +129,8 @@ class StoreUnreachableError(StoreError):
     Raised only for transport-level failure (connect refused, connection
     dropped without a reply); a server that *answered* with an error keeps
     raising plain :class:`StoreError`.  The distinction is what lets a
-    cluster router treat a dead shard as a routing event (fail over to a
-    replica, report a degraded read) instead of a query error."""
+    caller tell a dead or unreachable server (retry later, fail over)
+    from a query the server rejected."""
 
 
 class SnapshotError(InspectorError):

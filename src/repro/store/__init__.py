@@ -34,13 +34,6 @@ between these two runs".  It provides:
   server (snapshot-at-open with opt-in follow-mode bounded staleness,
   concurrent read-only queries, per-query stats, optional remote ingest,
   live-tail ``watch`` streams) and its retrying client;
-* :class:`~repro.store.cluster.StoreCluster` /
-  :class:`~repro.store.shard.ClusterManifest` -- horizontal reads: a
-  scatter-gather router mapping runs onto shards (each an ordinary
-  store server, with read replicas) behind a ``cluster.json`` manifest,
-  answering every engine query identically to the unsharded engine,
-  with per-shard fan-out telemetry and a configurable degraded-read
-  policy when a shard is down;
 * :mod:`repro.store.gate` / :mod:`repro.store.autopilot` /
   :mod:`repro.store.fleet` -- the continuous-provenance operations
   layer: blessed :class:`~repro.store.gate.ProvenanceBaseline`
@@ -50,8 +43,8 @@ between these two runs".  It provides:
   :func:`~repro.store.fleet.drift_report` comparisons;
 * ``python -m repro.store`` -- the ``ingest`` / ``info`` / ``runs`` /
   ``slice`` / ``lineage`` / ``taint`` / ``compact`` / ``gc`` /
-  ``bless`` / ``check`` / ``autopilot`` / ``serve``
-  / ``watch`` / ``cluster serve|query|status`` command-line surface.
+  ``bless`` / ``check`` / ``autopilot`` / ``serve`` / ``watch``
+  command-line surface.
 
 The whole reproduction's module map lives in ``docs/architecture.md``;
 this package's own design notes are in ``docs/store.md``.
@@ -71,12 +64,6 @@ from repro.store.cache import (
     PinnerStats,
     ReadScope,
     SegmentCache,
-)
-from repro.store.cluster import (
-    ClusterService,
-    InProcessShardClient,
-    ShardDownError,
-    StoreCluster,
 )
 from repro.store.codecs import CODECS, SegmentCodec
 from repro.store.format import (
@@ -101,7 +88,6 @@ from repro.store.integrity import scrub, verify_store
 from repro.store.log import SegmentLog
 from repro.store.query import LineageDiff, StoreQueryEngine
 from repro.store.server import StoreClient, StoreServer
-from repro.store.shard import PAGE_HASH_BUCKETS, ClusterManifest, Endpoint, ShardInfo, page_bucket
 from repro.store.sink import RemoteStoreSink, StoreSink
 from repro.store.store import MaintenanceStats, ProvenanceStore, StoreReadStats
 
@@ -112,21 +98,16 @@ __all__ = [
     "DEFAULT_SEGMENT_NODES",
     "SEGMENT_LOG_NAME",
     "STORE_FORMAT_VERSION",
-    "PAGE_HASH_BUCKETS",
     "Autopilot",
     "AutopilotDaemon",
     "AutopilotPolicy",
     "CacheStats",
-    "ClusterManifest",
     "CorruptSegmentError",
-    "ClusterService",
     "Decision",
-    "Endpoint",
     "FleetResult",
     "FleetSpec",
     "GateReport",
     "IndexPinner",
-    "InProcessShardClient",
     "LineageDiff",
     "PinnerStats",
     "ReadScope",
@@ -139,10 +120,7 @@ __all__ = [
     "RemoteStoreSink",
     "RunInfo",
     "SegmentInfo",
-    "ShardDownError",
-    "ShardInfo",
     "StoreClient",
-    "StoreCluster",
     "StoreError",
     "StoreIndexes",
     "StoreManifest",
@@ -156,7 +134,6 @@ __all__ = [
     "check_against_baseline",
     "drift_report",
     "list_baselines",
-    "page_bucket",
     "run_fleet",
     "scrub",
     "verify_store",

@@ -29,13 +29,6 @@ Usage::
         [--maintenance [policy.json]] [--maintenance-interval S]
     python -m repro.store watch <host:port> --pages 1,2 [--run R] \\
         [--interval S] [--timeout S] [--json]
-    python -m repro.store cluster serve <cluster.json> [--cache-bytes N] \\
-        [--parallelism N] [--writable]
-    python -m repro.store cluster status <cluster.json> [--json]
-    python -m repro.store cluster query <cluster.json> --pages 1,2 \\
-        [--run R | --across-runs | --compare A B] [--taint] \\
-        [--partial] [--parallelism N] [--json]
-    python -m repro.store cluster repair <cluster.json> [--shard ID] [--json]
 
 ``slice --node`` answers "what does this sub-computation depend on" (or,
 with ``--forward``, "what did it influence"); ``lineage --pages`` (and its
@@ -60,7 +53,7 @@ same policy rides along inside a server via ``serve --maintenance``.
 ``info`` reports the stored-vs-raw bytes of the store's ``binary-z``
 segments.  Every query prints how many segments it read out of how many the
 store holds, making the out-of-core behaviour visible; ``--parallelism``
-fans multi-segment scans out over the store's shared decode pools.
+fans multi-segment scans out over the store's shared decode thread pool.
 ``serve`` keeps one warm
 decoded-segment cache + pinned indexes resident and answers the same
 queries over newline-delimited JSON on TCP
@@ -68,17 +61,7 @@ queries over newline-delimited JSON on TCP
 remote ingest (``begin_run``/``append_epoch``/``commit_run`` -- what
 :class:`~repro.store.sink.RemoteStoreSink` speaks).  ``watch`` tails a
 page set's lineage against a running server, printing an update whenever
-the watched run grows.  The ``cluster`` family operates on a sharded
-deployment described by a ``cluster.json`` manifest
-(:mod:`repro.store.shard`): ``cluster serve`` hosts every shard (and
-replica) that has a local store path, ``cluster status`` probes shard
-liveness and run placement, and ``cluster query`` scatter-gathers
-lineage/taint/compare queries through a
-:class:`~repro.store.cluster.StoreCluster` router (``--partial`` opts
-into degraded reads that skip dead shards and report them).  ``cluster
-repair`` runs anti-entropy: each shard's local replicas are diffed
-against the primary's per-file checksum table and exactly the missing or
-damaged files are streamed over and installed atomically.  ``info --stats`` reports the read-path cache
+the watched run grows.  ``info --stats`` reports the read-path cache
 configuration, and plain ``info`` includes the segment-log state (log
 records and bytes, last checkpoint sequence, uncheckpointed records).
 """
@@ -98,7 +81,6 @@ from repro.errors import InspectorError
 
 from repro.store.autopilot import Autopilot, AutopilotDaemon, AutopilotPolicy
 from repro.store.cache import DEFAULT_CACHE_BYTES
-from repro.store.cluster import ClusterService, StoreCluster
 from repro.store.gate import bless_baseline, check_against_baseline
 from repro.store.integrity import scrub, verify_store
 from repro.store.query import StoreQueryEngine
@@ -407,76 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     watch.add_argument("--json", action="store_true", help="machine-readable output (JSON lines)")
 
-    cluster = commands.add_parser(
-        "cluster", help="operate a sharded store cluster (see cluster.json manifests)"
-    )
-    cluster_cmds = cluster.add_subparsers(dest="cluster_command", required=True)
-
-    cserve = cluster_cmds.add_parser(
-        "serve", help="host every shard/replica with a local store path in one process"
-    )
-    cserve.add_argument("cluster", help="cluster.json manifest (or its directory)")
-    cserve.add_argument(
-        "--cache-bytes",
-        type=_positive_int,
-        default=DEFAULT_CACHE_BYTES,
-        help=f"per-shard decoded-segment cache budget (default: {DEFAULT_CACHE_BYTES})",
-    )
-    cserve.add_argument(
-        "--writable",
-        action="store_true",
-        help="shard primaries accept remote ingest (replicas stay read-only)",
-    )
-    _add_parallelism(cserve)
-
-    cstatus = cluster_cmds.add_parser(
-        "status", help="probe shard liveness, replicas, and run placement"
-    )
-    cstatus.add_argument("cluster", help="cluster.json manifest (or its directory)")
-    cstatus.add_argument("--json", action="store_true", help="machine-readable output")
-
-    cquery = cluster_cmds.add_parser(
-        "query", help="scatter-gather a lineage/taint/compare query over the shards"
-    )
-    cquery.add_argument("cluster", help="cluster.json manifest (or its directory)")
-    cquery.add_argument(
-        "--pages", type=_parse_pages, required=True, help="comma-separated page list"
-    )
-    cquery.add_argument(
-        "--run", type=int, default=None, help="query one run (optional for single-run clusters)"
-    )
-    cquery.add_argument(
-        "--across-runs",
-        action="store_true",
-        help="fan the query out over every run of every shard",
-    )
-    cquery.add_argument(
-        "--compare",
-        nargs=2,
-        type=int,
-        metavar=("RUN_A", "RUN_B"),
-        help="diff the pages' lineage between two runs (possibly on different shards)",
-    )
-    cquery.add_argument(
-        "--taint", action="store_true", help="propagate taint instead of lineage"
-    )
-    cquery.add_argument(
-        "--partial",
-        action="store_true",
-        help="degraded reads: cross-run queries skip dead shards and report them",
-    )
-    _add_parallelism(cquery)
-    cquery.add_argument("--json", action="store_true", help="machine-readable output")
-
-    crepair = cluster_cmds.add_parser(
-        "repair",
-        help="anti-entropy: heal local replicas from their shard primaries",
-    )
-    crepair.add_argument("cluster", help="cluster.json manifest (or its directory)")
-    crepair.add_argument(
-        "--shard", default=None, help="repair one shard (default: every shard)"
-    )
-    crepair.add_argument("--json", action="store_true", help="machine-readable output")
     return parser
 
 
@@ -932,202 +844,6 @@ def _cmd_watch(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_cluster_serve(args: argparse.Namespace) -> int:
-    service = ClusterService(
-        args.cluster,
-        cache_bytes=args.cache_bytes,
-        parallelism=args.parallelism,
-        writable=args.writable,
-    )
-    manifest = service.start()
-    if not service.servers:
-        print(
-            "error: no shard in the manifest has a local store path to serve",
-            file=sys.stderr,
-        )
-        return 1
-    mode = "read-write primaries" if args.writable else "read-only"
-    print(f"serving {len(service.servers)} endpoint(s) ({mode}); Ctrl-C to stop")
-    for shard in manifest.shards:
-        endpoints = shard.endpoints()
-        served = ", ".join(
-            f"{e.address}{' (replica)' if i else ''}"
-            for i, e in enumerate(endpoints)
-            if (shard.shard_id, i) in service.servers
-        )
-        print(f"  shard {shard.shard_id}: {served or 'served elsewhere'}")
-    if manifest.path:
-        print(f"bound addresses written back to {manifest.path}")
-    try:
-        while True:
-            time.sleep(3600)
-    except KeyboardInterrupt:
-        service.close()
-        print("stopped")
-    return 0
-
-
-def _cmd_cluster_status(args: argparse.Namespace) -> int:
-    cluster = StoreCluster(args.cluster)
-    status = cluster.status()
-    if args.json:
-        print(json.dumps(status, sort_keys=True, indent=2))
-        return 0
-    print(f"cluster policy: {status['policy']} (degraded reads: {status['on_shard_down']})")
-    for entry in status["shards"]:
-        if entry["alive"]:
-            runs = ", ".join(str(r) for r in entry.get("runs", [])) or "none"
-            line = f"  shard {entry['shard']}: up via {entry['served_by']} (runs: {runs})"
-            if entry.get("assigned_runs") is not None:
-                assigned = ", ".join(str(r) for r in entry["assigned_runs"]) or "none"
-                line += f" (assigned: {assigned})"
-        else:
-            line = f"  shard {entry['shard']}: DOWN ({entry['error']})"
-        if entry["replicas"]:
-            line += f" [replicas: {', '.join(str(r) for r in entry['replicas'])}]"
-        print(line)
-    runs = ", ".join(str(r) for r in status["runs"]) or "none"
-    print(f"cluster runs: {runs}")
-    return any(not entry["alive"] for entry in status["shards"])
-
-
-def _cmd_cluster_query(args: argparse.Namespace) -> int:
-    modes = sum(1 for flag in (args.across_runs, args.compare is not None) if flag)
-    if modes > 1 or (args.run is not None and modes):
-        print(
-            "cluster query takes at most one of --run, --across-runs, --compare",
-            file=sys.stderr,
-        )
-        return 2
-    if args.compare is not None and args.taint:
-        print("--compare diffs lineage; it does not combine with --taint", file=sys.stderr)
-        return 2
-    cluster = StoreCluster(
-        args.cluster,
-        parallelism=args.parallelism,
-        on_shard_down="partial" if args.partial else "fail",
-    )
-    if args.compare is not None:
-        diff = cluster.compare_lineage(args.compare[0], args.compare[1], args.pages)
-        payload = {
-            "run_a": diff.run_a,
-            "run_b": diff.run_b,
-            "pages": list(diff.pages),
-            "only_a": [node_key(n) for n in sorted(diff.only_a)],
-            "only_b": [node_key(n) for n in sorted(diff.only_b)],
-            "common": [node_key(n) for n in sorted(diff.common)],
-            "identical": diff.identical,
-        }
-        if not args.json:
-            print(
-                f"lineage of pages {args.pages}: run {diff.run_a} vs run {diff.run_b} "
-                f"({'identical' if diff.identical else 'diverged'})"
-            )
-            print(f"  only run {diff.run_a}: {len(diff.only_a)} sub-computation(s)")
-            print(f"  only run {diff.run_b}: {len(diff.only_b)} sub-computation(s)")
-            print(f"  common:       {len(diff.common)} sub-computation(s)")
-    elif args.across_runs:
-        if args.taint:
-            by_run = cluster.taint_across_runs(args.pages)
-            payload = {
-                str(run): {
-                    "source_pages": sorted(result.source_pages),
-                    "tainted_pages": sorted(result.tainted_pages),
-                    "tainted_nodes": [node_key(n) for n in sorted(result.tainted_nodes)],
-                }
-                for run, result in by_run.items()
-            }
-            if not args.json:
-                print(f"taint from pages {args.pages} across {len(by_run)} run(s):")
-                for run, result in by_run.items():
-                    print(
-                        f"  run {run}: {sorted(result.tainted_pages)} tainted, "
-                        f"{len(result.tainted_nodes)} sub-computation(s)"
-                    )
-        else:
-            by_run = cluster.lineage_across_runs(args.pages)
-            payload = {
-                str(run): [node_key(n) for n in sorted(nodes)]
-                for run, nodes in by_run.items()
-            }
-            if not args.json:
-                print(f"lineage of pages {args.pages} across {len(by_run)} run(s):")
-                for run, nodes in by_run.items():
-                    print(f"  run {run}: {len(nodes)} sub-computation(s)")
-    elif args.taint:
-        result = cluster.taint(args.pages, run=args.run)
-        payload = {
-            "source_pages": sorted(result.source_pages),
-            "tainted_pages": sorted(result.tainted_pages),
-            "tainted_nodes": [node_key(n) for n in sorted(result.tainted_nodes)],
-        }
-        if not args.json:
-            print(f"taint from pages {args.pages}:")
-            print(f"  tainted pages: {sorted(result.tainted_pages)}")
-            print(f"  tainted sub-computations: {len(result.tainted_nodes)}")
-    else:
-        nodes = cluster.lineage(args.pages, run=args.run)
-        payload = {"nodes": [node_key(n) for n in sorted(nodes)]}
-        if not args.json:
-            print(f"lineage of pages {args.pages}: {len(nodes)} sub-computation(s)")
-            for node in sorted(nodes):
-                print(f"  {node_key(node)}")
-    fanout = cluster.last_fanout or {}
-    if args.json:
-        payload = {"result": payload, "fanout": fanout}
-        print(json.dumps(payload, sort_keys=True, indent=2))
-        return 0
-    shards = fanout.get("shards", [])
-    answered = ", ".join(
-        f"{entry['shard']}@{entry['address']} ({entry['stats'].get('elapsed_ms', '?')}ms)"
-        for entry in shards
-        if entry["ok"]
-    )
-    print(f"[fan-out: {answered or 'no shards asked'}]")
-    missing = fanout.get("missing_shards", [])
-    if missing:
-        for entry in missing:
-            runs = entry.get("runs")
-            detail = f" (runs {', '.join(str(r) for r in runs)})" if runs else ""
-            print(f"[missing shard: {entry['shard']}{detail}]")
-    return 0
-
-
-def _cmd_cluster_repair(args: argparse.Namespace) -> int:
-    cluster = StoreCluster(args.cluster)
-    report = cluster.repair(args.shard)
-    if args.json:
-        print(json.dumps(report, sort_keys=True, indent=2))
-        return 0
-    for entry in report["shards"]:
-        print(f"shard {entry['shard']} (source {entry['source']}):")
-        for replica in entry["replicas"]:
-            if replica.get("skipped"):
-                print(f"  replica {replica['address']}: skipped ({replica['skipped']})")
-                continue
-            fetched = len(replica["fetched"])
-            print(
-                f"  replica {replica['path']}: {fetched} file(s) fetched "
-                f"({replica['bytes_fetched']} bytes), "
-                f"{replica['files_matched']} already matched"
-                + (", server refreshed" if replica["refreshed"] else "")
-            )
-    print(
-        f"repair complete: {report['files_fetched']} file(s), "
-        f"{report['bytes_fetched']} bytes fetched"
-    )
-    return 0
-
-
-def _cmd_cluster(args: argparse.Namespace) -> int:
-    return {
-        "serve": _cmd_cluster_serve,
-        "status": _cmd_cluster_status,
-        "query": _cmd_cluster_query,
-        "repair": _cmd_cluster_repair,
-    }[args.cluster_command](args)
-
-
 _COMMANDS = {
     "ingest": _cmd_ingest,
     "info": _cmd_info,
@@ -1144,7 +860,6 @@ _COMMANDS = {
     "scrub": _cmd_scrub,
     "serve": _cmd_serve,
     "watch": _cmd_watch,
-    "cluster": _cmd_cluster,
 }
 
 

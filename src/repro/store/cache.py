@@ -574,8 +574,7 @@ class ReadScope:
     #: picking up newly logged segments before answering).
     snapshot_refreshes: int = 0
     #: Whether the answer was computed without some of its segments --
-    #: quarantined ones a query skipped rather than aborting, the
-    #: store-level analogue of the cluster's ``missing_shards``.
+    #: quarantined ones a query skipped rather than aborting.
     degraded: bool = False
     #: The quarantined segment ids the query skipped.
     quarantined_segments: Set[int] = field(default_factory=set)
@@ -602,27 +601,6 @@ class ReadScope:
             if added:
                 self.quarantined_segments |= added
                 self.degraded = True
-
-    def absorb(self, stats: dict) -> None:
-        """Fold another scope's counters into this one.
-
-        ``stats`` is a :meth:`to_dict`-shaped mapping -- typically the
-        per-query ``stats`` object a store server attached to a response.
-        A cluster router folds every shard's numbers into one scope so a
-        scatter-gathered query reports cluster-wide read accounting in
-        the same shape a single-store query does; unknown keys are
-        ignored so older servers stay absorbable.
-        """
-        with self._lock:
-            self.segments_read += int(stats.get("segments_read", 0))
-            self.bytes_read += int(stats.get("bytes_read", 0))
-            self.cache_hits += int(stats.get("cache_hits", 0))
-            self.cache_misses += int(stats.get("cache_misses", 0))
-            self.snapshot_refreshes += int(stats.get("snapshot_refreshes", 0))
-            self.quarantined_segments |= {
-                int(segment_id) for segment_id in stats.get("quarantined_segments", ())
-            }
-            self.degraded = self.degraded or bool(stats.get("degraded", False))
 
     def to_dict(self) -> dict:
         return {

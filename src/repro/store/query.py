@@ -43,8 +43,8 @@ cache (:mod:`repro.store.cache`), so repeated queries on a warm engine --
 the profile :class:`~repro.store.server.StoreServer` serves -- cost no
 decode at all, and the ``parallelism=`` knob fans multi-segment scans
 (taint prefetch, flood sweep, ``*_across_runs``) out over the store's
-shared decode pools -- threads for warm-ish chunks, processes for cold
-multi-segment sweeps -- with a sequential fallback at ``parallelism=1``.
+shared decode thread pool, with a sequential fallback at
+``parallelism=1``.
 """
 
 from __future__ import annotations
@@ -72,9 +72,9 @@ TAINT_FLOOD_FRACTION = 0.5
 # Merge helpers
 #
 # The pieces of the cross-run query semantics that are pure set/ordering
-# logic live here as free functions so the sharded cluster router
-# (:mod:`repro.store.cluster`) merges scattered per-shard answers through
-# the *same* code the single-store engine uses -- the two cannot drift.
+# logic live here as free functions, so the engine and the baseline gate
+# (:mod:`repro.store.gate`) assemble cross-run answers through the *same*
+# code -- the two cannot drift.
 # ---------------------------------------------------------------------- #
 
 
@@ -101,8 +101,7 @@ def order_across_runs(answered: Dict[int, object], run_ids: Iterable[int], defau
     ``default(run_id)`` for runs that were skipped (proven untouched) --
     and the dict enumerates runs in exactly the order given, which is the
     store's mint order.  Merge order is part of the documented result
-    shape (the server serializes it as-is), so the cluster router feeds
-    this the same mint-ordered id list a single store would.
+    shape (the server serializes it as-is).
     """
     return {
         run_id: answered[run_id] if run_id in answered else default(run_id)
@@ -214,11 +213,10 @@ class StoreQueryEngine:
         Set-valued queries (slices, lineage, taint) degrade instead of
         aborting: a damaged segment is skipped, the skip is recorded in
         the engine's scope (``degraded`` / ``quarantined_segments``), and
-        the rest of the answer comes from the healthy segments -- the
-        single-store analogue of the cluster's partial fan-out with its
-        ``missing_shards``.  Point lookups (:meth:`subcomputation`) still
-        raise the typed :class:`~repro.errors.CorruptSegmentError`: there
-        is no partial answer to a question about one specific node.
+        the rest of the answer comes from the healthy segments.  Point
+        lookups (:meth:`subcomputation`) still raise the typed
+        :class:`~repro.errors.CorruptSegmentError`: there is no partial
+        answer to a question about one specific node.
         """
         if self.store.is_quarantined(segment_id):
             self._note_quarantined((segment_id,))
@@ -255,9 +253,8 @@ class StoreQueryEngine:
                     yield segment_id, payload
             return
         width = self.parallelism * 2
-        # The store's shared decode pools do the concurrency (chunking
-        # bounds residency, not thread churn); a cold chunk wide enough
-        # may decode on the process pool, off the GIL entirely.
+        # The store's shared decode pool does the concurrency (chunking
+        # bounds residency, not thread churn).
         for start in range(0, len(live), width):
             chunk = live[start : start + width]
             try:

@@ -78,27 +78,10 @@ from repro.errors import (
 )
 
 from repro.store.cache import DEFAULT_CACHE_BYTES, IndexPinner, ReadScope, SegmentCache
-from repro.store.format import (
-    INDEX_DIR,
-    MANIFEST_NAME,
-    PAGES_RUNS_FILE,
-    RUN_COMPLETE,
-    SEGMENT_LOG_NAME,
-    SEGMENTS_DIR,
-    file_size_crc,
-    index_base_file_name,
-    index_delta_file_name,
-    run_index_dir_name,
-)
+from repro.store.format import MANIFEST_NAME, RUN_COMPLETE, SEGMENT_LOG_NAME
 from repro.store.query import StoreQueryEngine
 from repro.store.segment import EdgeTuple, decode_segment, encode_segment, frame_header
-from repro.store.store import (
-    _INDEX_BASE_RE,
-    _INDEX_DELTA_RE,
-    _RUN_DIR_RE,
-    _SEGMENT_FILE_RE,
-    ProvenanceStore,
-)
+from repro.store.store import ProvenanceStore
 
 #: Ops the server answers (the protocol surface).
 SERVER_OPS = (
@@ -117,8 +100,6 @@ SERVER_OPS = (
     "commit_run",
     "stats",
     "refresh",
-    "manifest_digest",
-    "fetch_file",
     "shutdown",
 )
 
@@ -586,10 +567,6 @@ class StoreServer:
             return self.server_stats(), {}
         if op == "refresh":
             return self.refresh(), {}
-        if op == "manifest_digest":
-            return self._manifest_digest(store), {}
-        if op == "fetch_file":
-            return self._fetch_file(store, str(request["path"])), {}
         if op == "shutdown":
             # The transport layer closes the listener *after* writing the
             # acknowledgement (see _RequestHandler.handle).
@@ -667,123 +644,6 @@ class StoreServer:
                 "identical": diff.identical,
             }, {}
         raise StoreError(f"unhandled op {op!r}")  # unreachable: SERVER_OPS gates
-
-    # ------------------------------------------------------------------ #
-    # Anti-entropy repair (any server is a repair source)
-    # ------------------------------------------------------------------ #
-
-    def _manifest_digest(self, store: ProvenanceStore) -> dict:
-        """Per-file ``(size, crc)`` table of the served snapshot.
-
-        This is the comparison unit of replica anti-entropy: a repairer
-        diffs its local table against the primary's and fetches exactly
-        the files whose checksum differs or that it lacks.  Paths are
-        store-relative with ``/`` separators (wire form).  Checksums come
-        from the manifest's own integrity columns where recorded (free)
-        and are computed from disk for files written before the checksum
-        layer.  Quarantined segments are *omitted*: a damaged copy is not
-        a repair source.
-        """
-        manifest = store.manifest
-        files: Dict[str, List[int]] = {}
-        for info in manifest.segments:
-            if manifest.is_quarantined(info.segment_id):
-                continue
-            rel = f"{SEGMENTS_DIR}/{info.file_name}"
-            if info.crc is not None and info.stored_bytes:
-                files[rel] = [int(info.stored_bytes), int(info.crc)]
-            else:
-                files[rel] = self._stat_crc(rel)
-        for run in manifest.runs:
-            run_dir = f"{INDEX_DIR}/{run_index_dir_name(run.run_id)}"
-            names: List[str] = []
-            if run.index_base:
-                names.append(index_base_file_name(run.index_base))
-            names.extend(index_delta_file_name(gen) for gen in run.index_deltas)
-            for name in names:
-                rel = f"{run_dir}/{name}"
-                pair = run.index_checksums.get(name)
-                files[rel] = (
-                    [int(pair[0]), int(pair[1])] if pair else self._stat_crc(rel)
-                )
-        pages_rel = f"{INDEX_DIR}/{PAGES_RUNS_FILE}"
-        if manifest.pages_runs_checksum is not None:
-            files[pages_rel] = [int(v) for v in manifest.pages_runs_checksum]
-        elif os.path.exists(os.path.join(self.store_path, INDEX_DIR, PAGES_RUNS_FILE)):
-            files[pages_rel] = self._stat_crc(pages_rel)
-        token = 0
-        for rel in sorted(files):
-            size, crc = files[rel]
-            token = binascii.crc32(f"{rel}:{size}:{crc}\n".encode("utf-8"), token)
-        return {
-            "store": self.store_path,
-            "digest": token & 0xFFFFFFFF,
-            "files": files,
-            "quarantined": {
-                str(segment_id): reason
-                for segment_id, reason in manifest.quarantined.items()
-            },
-            "runs": len(manifest.runs),
-            "segments": manifest.segment_count,
-        }
-
-    def _stat_crc(self, rel: str) -> List[int]:
-        """``(size, crc)`` of one store file read from disk (legacy files)."""
-        target = os.path.join(self.store_path, *rel.split("/"))
-        try:
-            return file_size_crc(target)
-        except OSError as exc:
-            raise StoreError(f"cannot checksum store file {rel!r}: {exc}") from exc
-
-    @staticmethod
-    def _validate_repair_path(rel: str) -> Tuple[str, ...]:
-        """The store-relative paths ``fetch_file`` may serve, nothing else.
-
-        Structural allow-list -- the manifest, the segment log, segment
-        files, per-run index base/delta files, and the cross-run page
-        summary -- so a client can never name a path outside the store
-        directory (no separators beyond the two known levels, no ``..``).
-        """
-        parts = tuple(rel.split("/"))
-        if rel in (MANIFEST_NAME, SEGMENT_LOG_NAME):
-            return parts
-        if (
-            len(parts) == 2
-            and parts[0] == SEGMENTS_DIR
-            and _SEGMENT_FILE_RE.match(parts[1])
-        ):
-            return parts
-        if len(parts) == 2 and parts[0] == INDEX_DIR and parts[1] == PAGES_RUNS_FILE:
-            return parts
-        if (
-            len(parts) == 3
-            and parts[0] == INDEX_DIR
-            and _RUN_DIR_RE.match(parts[1])
-            and (_INDEX_BASE_RE.match(parts[2]) or _INDEX_DELTA_RE.match(parts[2]))
-        ):
-            return parts
-        raise StoreError(f"fetch_file path {rel!r} does not name a store file")
-
-    def _fetch_file(self, store: ProvenanceStore, rel: str) -> dict:
-        """Serve one store file's bytes (base64) for a repairing replica.
-
-        The repairer verifies the returned ``crc`` before installing the
-        file, so a fetch racing a concurrent write on this server is
-        detected (mismatch) rather than silently installed half-new.
-        """
-        parts = self._validate_repair_path(rel)
-        target = os.path.join(self.store_path, *parts)
-        try:
-            with open(target, "rb") as handle:
-                data = handle.read()
-        except OSError as exc:
-            raise StoreError(f"cannot read store file {rel!r}: {exc}") from exc
-        return {
-            "path": rel,
-            "size": len(data),
-            "crc": binascii.crc32(data) & 0xFFFFFFFF,
-            "data": base64.b64encode(data).decode("ascii"),
-        }
 
     # ------------------------------------------------------------------ #
     # Remote ingest (writable servers)
@@ -1052,7 +912,9 @@ class StoreClient:
         Connect-phase failures propagate as plain ``OSError`` (nothing
         was sent; always safe to retry); failures after the send are
         wrapped in :class:`_SentRequestFailed` so the retry policy can
-        refuse to resend non-idempotent ops.
+        refuse to resend non-idempotent ops.  A reply without its
+        terminating newline was cut off in transit, so it is a transport
+        failure too, never a malformed (but whole) response.
         """
         conn = socket.create_connection((self.host, self.port), timeout=self.timeout)
         with conn:
@@ -1064,6 +926,10 @@ class StoreClient:
                 raise _SentRequestFailed(str(exc)) from exc
         if not line:
             raise _SentRequestFailed("server closed the connection without replying")
+        if not line.endswith(b"\n"):
+            raise _SentRequestFailed(
+                f"server reply was cut off after {len(line)} bytes"
+            )
         return line
 
     def request(self, op: str, **params) -> dict:
@@ -1202,23 +1068,6 @@ class StoreClient:
 
     def refresh(self) -> dict:
         return self.result("refresh")
-
-    def manifest_digest(self) -> dict:
-        """The server's per-file ``(size, crc)`` table (repair source view)."""
-        return self.result("manifest_digest")
-
-    def fetch_file(self, path: str) -> bytes:
-        """Fetch one store file's bytes, verifying the transfer checksum."""
-        result = self.result("fetch_file", path=path)
-        data = base64.b64decode(str(result["data"]), validate=True)
-        crc = binascii.crc32(data) & 0xFFFFFFFF
-        if len(data) != int(result["size"]) or crc != int(result["crc"]):
-            raise StoreError(
-                f"fetch_file {path!r} arrived damaged "
-                f"({len(data)} bytes crc {crc:#010x}, server said "
-                f"{result['size']} bytes crc {int(result['crc']):#010x})"
-            )
-        return data
 
     def shutdown(self) -> dict:
         return self.result("shutdown")

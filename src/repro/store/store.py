@@ -26,9 +26,7 @@ missing the same segment collapse to one decode), merged index
 generations can be pinned resident, and
 :meth:`ProvenanceStore.segment_many` decodes cache misses concurrently --
 on one *shared, lazily created* thread pool per store (shut down by
-:meth:`ProvenanceStore.close`), escalating cold multi-segment sweeps to
-a shared process pool when the miss count and the machine justify paying
-the fork + pickle overhead (``decode_mode`` picks the strategy).
+:meth:`ProvenanceStore.close`).
 
 Maintenance is run-scoped: :meth:`ProvenanceStore.compact` rewrites a
 run's segments **streaming, segment by segment** into fewer, denser ones
@@ -52,7 +50,7 @@ import re
 import threading
 import zlib
 from collections import defaultdict
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -107,31 +105,6 @@ _INDEX_DELTA_RE = re.compile(r"^delta-(\d{8})\.bin$")
 #: Scratch directory compaction spills per-batch edges into (inside the
 #: store, so a crash leaves it visible to the next maintenance sweep).
 _COMPACT_SPILL_DIR = "tmp-compact"
-
-#: Cold misses in one ``segment_many`` call below which ``decode_mode
-#: "auto"`` never escalates to the process pool: the fork + pickle
-#: round-trip only pays for itself on multi-segment sweeps.
-PROCESS_DECODE_THRESHOLD = 8
-
-
-def _decode_segment_group(paths: Sequence[str]) -> List[Tuple[int, SegmentPayload]]:
-    """Process-pool decode worker: read + decode one group of segment files.
-
-    Module-level so it pickles into the worker.  Returns ``(file bytes,
-    payload)`` per path; the parent handle does the cache admission and
-    read accounting, so the child needs no store state beyond the paths.
-    """
-    results: List[Tuple[int, SegmentPayload]] = []
-    for path in paths:
-        try:
-            with open(path, "rb") as handle:
-                data = handle.read()
-        except FileNotFoundError as exc:
-            # A StoreError crosses the process boundary as a store fault,
-            # not as pool breakage the parent would fall back from.
-            raise StoreError(f"segment file {os.path.basename(path)} is missing") from exc
-        results.append((len(data), decode_segment(data)))
-    return results
 
 
 def _utc_now_iso() -> str:
@@ -225,15 +198,6 @@ class ProvenanceStore:
     the constructor.
 
     Attributes:
-        decode_mode: How :meth:`segment_many` decodes a batch of cold
-            misses: ``"auto"`` (the default) uses the store's shared
-            thread pool and escalates to the shared process pool when the
-            miss count reaches :data:`PROCESS_DECODE_THRESHOLD` on a
-            multi-core machine; ``"thread"`` / ``"process"`` force one
-            strategy.  The process path sidesteps the GIL entirely (the
-            columnar decode is pure Python) at the price of one pickle
-            round-trip per decode group; a broken pool (fork or pickling
-            failure) permanently falls back to threads for the handle.
         checkpoint_interval: Log-append flushes between automatic
             manifest checkpoints (bounds open-time replay work).
         cache: The decoded-segment :class:`SegmentCache`.  Owned by this
@@ -287,15 +251,11 @@ class ProvenanceStore:
         #: Whether MANIFEST.json exists on disk (False for a store being
         #: created; forces the first flush to checkpoint).
         self._manifest_on_disk = False
-        #: Decode strategy of :meth:`segment_many` ("auto"/"thread"/"process").
-        self.decode_mode = "auto"
-        #: Shared decode pools, created lazily on the first parallel read
+        #: Shared decode pool, created lazily on the first parallel read
         #: and shut down by :meth:`close` (after which reads degrade to
         #: the sequential path instead of erroring).
         self._pool_lock = threading.Lock()
         self._executor: Optional[ThreadPoolExecutor] = None
-        self._process_pool: Optional[ProcessPoolExecutor] = None
-        self._process_pool_broken = False
         self._closed = False
         self._pages_runs: Optional[Dict[int, Set[int]]] = None
         self._pages_runs_covered: Set[int] = set()
@@ -1150,15 +1110,12 @@ class ProvenanceStore:
 
         Single-flight claims happen up front: cached segments come back
         immediately, misses another thread is already decoding are waited
-        for at the end, and the misses *this* call owns are decoded per
-        :attr:`decode_mode` -- stride-partitioned into ``parallelism``
-        groups, one task per group, on the store's shared thread pool
-        (created lazily, shut down by :meth:`close`) or, for cold
-        multi-segment sweeps on a multi-core machine, the shared process
-        pool, which sidesteps the GIL the pure-Python columnar decode
-        holds.  ``parallelism <= 1``, or a single miss, degrades to the
-        plain sequential path; pass ``executor`` to decode on an injected
-        pool instead of the store's own.  Returns ``{segment_id:
+        for at the end, and the misses *this* call owns are decoded
+        stride-partitioned into ``parallelism`` groups, one task per
+        group, on the store's shared thread pool (created lazily, shut
+        down by :meth:`close`).  ``parallelism <= 1``, or a single miss,
+        degrades to the plain sequential path; pass ``executor`` to
+        decode on an injected pool instead of the store's own.  Returns ``{segment_id:
         payload}`` -- **all** requested payloads at once, so the caller's
         resident set is the request size regardless of the cache budget;
         callers that scan more than they can hold (the query engine)
@@ -1214,8 +1171,7 @@ class ProvenanceStore:
 
         The concurrency bound is exactly ``parallelism`` regardless of
         pool size: misses are stride-partitioned into that many groups,
-        one task per group (which also amortizes the process pool's
-        pickle round-trip over the group).
+        one task per group.
         """
 
         def load(segment_id: int) -> Tuple[int, SegmentPayload]:
@@ -1234,85 +1190,17 @@ class ProvenanceStore:
             return load_group(misses)
         workers = min(parallelism, len(misses))
         groups = [misses[offset::workers] for offset in range(workers)]
-        results = None
-        if self._use_process_decode(len(misses)):
-            try:
-                results = self._decode_groups_on_processes(groups)
-            except StoreError:
-                # A fault somewhere inside a group: re-read sequentially
-                # so the damaged segment is attributed (and quarantined)
-                # precisely instead of failing the sweep anonymously.
-                return load_group(misses)
-        if results is None:
-            pool = self._shared_executor()
-            if pool is None:  # closed handle: stay correct, go sequential
-                return load_group(misses)
-            futures = [pool.submit(load_group, group) for group in groups]
-            results = [future.result() for future in futures]
+        pool = self._shared_executor()
+        if pool is None:  # closed handle: stay correct, go sequential
+            return load_group(misses)
+        futures = [pool.submit(load_group, group) for group in groups]
+        results = [future.result() for future in futures]
         by_id = {
             segment_id: item
             for group, result in zip(groups, results)
             for segment_id, item in zip(group, result)
         }
         return [by_id[segment_id] for segment_id in misses]
-
-    def _use_process_decode(self, miss_count: int) -> bool:
-        if self.decode_mode == "thread" or self._process_pool_broken:
-            return False
-        if self.decode_mode == "process":
-            return True
-        return miss_count >= PROCESS_DECODE_THRESHOLD and (os.cpu_count() or 1) >= 2
-
-    def _decode_groups_on_processes(
-        self, groups: List[List[int]]
-    ) -> Optional[List[List[Tuple[int, SegmentPayload]]]]:
-        """Decode groups on the shared process pool; ``None`` = fall back.
-
-        The children read the segment files themselves (only paths cross
-        the boundary going in), so the parent accounts the store-wide
-        read stats from the returned byte counts.  Pool breakage -- fork
-        failure, a killed worker, unpicklable payloads -- marks the pool
-        broken for the life of the handle and falls back to threads;
-        store faults (:class:`StoreError`) propagate.
-        """
-        pool = self._shared_process_pool()
-        if pool is None:
-            return None
-        paths = [
-            [
-                os.path.join(
-                    self.path, SEGMENTS_DIR, self.manifest.segment_info(segment_id).file_name
-                )
-                for segment_id in group
-            ]
-            for group in groups
-        ]
-        try:
-            futures = [pool.submit(_decode_segment_group, group_paths) for group_paths in paths]
-            results = [future.result() for future in futures]
-        except StoreError:
-            raise
-        except BrokenExecutor:
-            self._mark_process_pool_broken()
-            return None
-        except Exception:
-            # Submission/transport failures (pickling, a dying
-            # interpreter, OS limits) -- not store faults.
-            self._mark_process_pool_broken()
-            return None
-        with self._stats_lock:
-            for result in results:
-                for data_len, _ in result:
-                    self.read_stats.segments_read += 1
-                    self.read_stats.bytes_read += data_len
-        return results
-
-    def _mark_process_pool_broken(self) -> None:
-        with self._pool_lock:
-            self._process_pool_broken = True
-            pool, self._process_pool = self._process_pool, None
-        if pool is not None:
-            pool.shutdown(wait=False)
 
     def _shared_executor(self) -> Optional[ThreadPoolExecutor]:
         """The store's lazily created decode thread pool (None when closed).
@@ -1331,29 +1219,8 @@ class ProvenanceStore:
                 )
             return self._executor
 
-    def _shared_process_pool(self) -> Optional[ProcessPoolExecutor]:
-        with self._pool_lock:
-            if self._closed or self._process_pool_broken:
-                return None
-            if self._process_pool is None:
-                try:
-                    import multiprocessing
-
-                    try:
-                        context = multiprocessing.get_context("fork")
-                    except ValueError:  # platforms without fork
-                        context = multiprocessing.get_context()
-                    self._process_pool = ProcessPoolExecutor(
-                        max_workers=max(2, min(8, os.cpu_count() or 1)),
-                        mp_context=context,
-                    )
-                except (OSError, ValueError, NotImplementedError):
-                    self._process_pool_broken = True
-                    return None
-            return self._process_pool
-
     def close(self) -> None:
-        """Shut down the store's shared decode pools (idempotent).
+        """Shut down the store's shared decode pool (idempotent).
 
         The handle stays usable for reads and writes afterwards -- a
         parallel read on a closed handle just decodes sequentially
@@ -1363,11 +1230,8 @@ class ProvenanceStore:
         with self._pool_lock:
             self._closed = True
             executor, self._executor = self._executor, None
-            process_pool, self._process_pool = self._process_pool, None
         if executor is not None:
             executor.shutdown(wait=True)
-        if process_pool is not None:
-            process_pool.shutdown(wait=True)
 
     def __enter__(self) -> "ProvenanceStore":
         return self

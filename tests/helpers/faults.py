@@ -18,18 +18,15 @@ all) and scripts the failure modes a client must survive --
     Hold the connection for ``delay`` seconds before forwarding.
 ``half_close``
     Forward the request, then deliver only the first
-    ``half_close_bytes`` bytes of the response and cut the connection --
-    the mid-response failure that distinguishes "request may have been
+    ``half_close_bytes`` bytes of the response and close the connection
+    cleanly -- a torn reply with no terminating newline, the
+    mid-response failure that distinguishes "request may have been
     applied" from "request never arrived".
 
 ``fault_budget=N`` makes only the first N connections misbehave and every
 later one pass through -- the recovery script ("down, down, then back")
 that backoff-retry tests want.  Counters (``connections``, ``faulted``)
 record what actually happened so tests can assert the fault really fired.
-
-:func:`crashable_server` complements the proxy with process-level chaos:
-a store server that can be killed and brought back *on the same port*,
-for replica-failover and crash-recovery tests.
 
 The disk-fault helpers (:func:`flip_bytes`, :func:`truncate_file`,
 :func:`delete_file`) are the storage-side counterpart: surgical damage to
@@ -43,10 +40,7 @@ import os
 import socket
 import struct
 import threading
-import time
-from typing import Iterator, Optional, Tuple
-
-from repro.store.server import StoreServer
+from typing import Optional, Tuple
 
 #: Modes ChaosProxy knows how to misbehave in.
 MODES = ("pass", "drop", "reset", "delay", "half_close")
@@ -226,11 +220,11 @@ class ChaosProxy:
                         sent += len(chunk)
                     if sent >= response_limit:
                         # Mid-response cut: the client got a prefix and
-                        # will never see the rest, nor a clean close from
-                        # the server's side.
-                        conn.setsockopt(
-                            socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
-                        )
+                        # will never see the rest.  Shutting both
+                        # directions down ends the client's connection at
+                        # once and wakes the request pump blocked in recv.
+                        with contextlib.suppress(OSError):
+                            conn.shutdown(socket.SHUT_RDWR)
                         break
                 else:
                     conn.sendall(chunk)
@@ -247,6 +241,10 @@ class ChaosProxy:
         if not self._closed:
             self._closed = True
             self._close_event.set()
+            # close() alone does not wake a thread blocked in accept();
+            # shutdown() does, so the accept loop exits at once.
+            with contextlib.suppress(OSError):
+                self._listener.shutdown(socket.SHUT_RDWR)
             self._listener.close()
             self._thread.join(timeout=5)
 
@@ -255,69 +253,3 @@ class ChaosProxy:
 
     def __exit__(self, *_exc) -> None:
         self.close()
-
-
-class CrashableServer:
-    """A store server that can die and come back on the same port.
-
-    ``crash()`` closes the server (in-flight connections break, new ones
-    are refused); ``restart()`` opens a fresh one bound to the recorded
-    port -- a fresh snapshot of the same store, which is exactly what a
-    recovered shard or a promoted replica serves.
-    """
-
-    def __init__(self, store_path: str, **server_kwargs) -> None:
-        self.store_path = store_path
-        self.server_kwargs = server_kwargs
-        self.server: Optional[StoreServer] = StoreServer(store_path, **server_kwargs)
-        self.host, self.port = self.server.start()
-        self.crashes = 0
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        return self.host, self.port
-
-    @property
-    def url(self) -> str:
-        return f"{self.host}:{self.port}"
-
-    def crash(self) -> None:
-        if self.server is not None:
-            self.server.close()
-            self.server = None
-            self.crashes += 1
-
-    def restart(self) -> StoreServer:
-        if self.server is not None:
-            return self.server
-        kwargs = dict(self.server_kwargs)
-        kwargs["host"] = self.host
-        kwargs["port"] = self.port
-        deadline = time.time() + 5.0
-        while True:
-            # The dying listener's socket may linger briefly even with
-            # SO_REUSEADDR; retry the bind until the OS lets go.
-            try:
-                self.server = StoreServer(self.store_path, **kwargs)
-                break
-            except OSError:
-                if time.time() >= deadline:
-                    raise
-                time.sleep(0.05)
-        self.server.start()
-        return self.server
-
-    def close(self) -> None:
-        if self.server is not None:
-            self.server.close()
-            self.server = None
-
-
-@contextlib.contextmanager
-def crashable_server(store_path: str, **server_kwargs) -> Iterator[CrashableServer]:
-    """Context-managed :class:`CrashableServer` (closed on exit)."""
-    crashable = CrashableServer(store_path, **server_kwargs)
-    try:
-        yield crashable
-    finally:
-        crashable.close()

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers.clusters import random_cpg
+from helpers.random_cpgs import random_cpg
 from helpers.oracles import (
     backward_slice_reference,
     cpg_edge_list,

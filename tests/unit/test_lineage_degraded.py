@@ -13,7 +13,7 @@ import shutil
 
 import pytest
 
-from helpers.clusters import random_cpg
+from helpers.random_cpgs import random_cpg
 from helpers.faults import flip_bytes
 from helpers.oracles import lineage_of_pages_reference
 

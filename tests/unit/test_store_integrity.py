@@ -4,32 +4,23 @@ Covers the whole damage lifecycle: codec-level frame checksums, the
 per-file checksum columns, structural fsck (including the orphan leak a
 crashed ``compact()`` leaves behind), deep scrub with quarantine and
 un-quarantine, degraded queries that skip quarantined segments instead of
-failing, the server's stable error ``code`` field, the scrub-vs-warm-
-reader cache contract, and the cluster anti-entropy e2e: a bit-flipped
-replica is detected, quarantined, healed by ``cluster repair`` through a
-chaos proxy failover, and passes fsck afterwards.
+failing, the server's stable error ``code`` field, and the
+scrub-vs-warm-reader cache contract.
 """
 
 import json
 import os
-import shutil
 import threading
-import zlib
 
 import pytest
 
-from helpers.clusters import build_multirun_store, random_cpg
-from helpers.faults import ChaosProxy, delete_file, flip_bytes, truncate_file
+from helpers.random_cpgs import build_multirun_store, random_cpg
+from helpers.faults import delete_file, flip_bytes, truncate_file
 
 from repro.errors import CorruptSegmentError, StoreError, StoreReadOnlyError
 from repro.store import (
-    ClusterManifest,
-    ClusterService,
-    Endpoint,
     ProvenanceStore,
     ReadScope,
-    ShardInfo,
-    StoreCluster,
     StoreQueryEngine,
     StoreServer,
     scrub,
@@ -560,178 +551,5 @@ class TestServerErrorCodes:
             stats = server.handle_request({"op": "stats"})["result"]
             assert stats["degraded"]
             assert stats["quarantined_segments"] == [segment_id]
-        finally:
-            server.close()
-
-
-# ---------------------------------------------------------------------- #
-# Cluster anti-entropy repair (the acceptance e2e)
-# ---------------------------------------------------------------------- #
-
-
-class TestClusterRepair:
-    def test_kill_corrupt_repair_requery(self, tmp_path):
-        """Bit rot on a replica: detected, quarantined, healed, re-verified."""
-        runs = build_store(tmp_path / "primary", seeds=(31, 32))
-        primary_dir = str(tmp_path / "primary")
-        replica_dir = str(tmp_path / "replica")
-        shutil.copytree(primary_dir, replica_dir)
-
-        primary = StoreServer(primary_dir)
-        replica = StoreServer(replica_dir)
-        primary_addr = "%s:%d" % primary.start()
-        replica_addr = "%s:%d" % replica.start()
-        proxy = ChaosProxy(target=primary.address, mode="pass")
-        try:
-            manifest = ClusterManifest(
-                shards=[
-                    ShardInfo(
-                        "shard-0",
-                        Endpoint(address="%s:%d" % proxy.address, path=primary_dir),
-                        replicas=[Endpoint(address=replica_addr, path=replica_dir)],
-                    )
-                ],
-                policy="run-hash",
-            )
-            cluster = StoreCluster(
-                manifest, client_options={"timeout": 5.0, "retries": 0}
-            )
-            baseline = {run: cluster.lineage(ALL_PAGES, run=run) for run in runs}
-
-            # Bit-rot one replica segment, then scrub the replica: the
-            # damage is quarantined durably without touching the primary.
-            segment_id, seg = first_segment_file(tmp_path / "replica")
-            flip_bytes(seg, -2)
-            with ProvenanceStore.open(replica_dir) as store:
-                report = scrub(store)
-            assert report["quarantined"] == [segment_id]
-
-            # Kill the primary (proxy goes dark): queries fail over to the
-            # damaged replica and still answer -- degraded, never failing.
-            replica.refresh()  # pick up the quarantine marks
-            proxy.mode = "drop"
-            for run in runs:
-                degraded = cluster.lineage(ALL_PAGES, run=run)
-                assert degraded <= baseline[run]
-            fanout = cluster.last_fanout
-            assert fanout["shards"][-1]["address"] == replica_addr
-
-            # Primary back up: anti-entropy streams exactly the damaged
-            # file (plus log + manifest) and refreshes the live replica.
-            proxy.mode = "pass"
-            repair_report = cluster.repair("shard-0")
-            shard_report = repair_report["shards"][0]
-            fetched = shard_report["replicas"][0]["fetched"]
-            assert os.path.join(SEGMENTS_DIR, os.path.basename(seg)).replace(
-                os.sep, "/"
-            ) in fetched
-            assert SEGMENT_LOG_NAME in fetched and MANIFEST_NAME in fetched
-            assert shard_report["replicas"][0]["refreshed"]
-            assert cluster.fanout_stats()["repairs"]["runs"] == 1
-            assert cluster.fanout_stats()["repairs"]["files_fetched"] >= 3
-
-            # The healed replica answers in full and passes fsck + scrub.
-            proxy.mode = "drop"
-            for run in runs:
-                assert cluster.lineage(ALL_PAGES, run=run) == baseline[run]
-            assert verify_store(replica_dir)["ok"]
-            with ProvenanceStore.open(replica_dir) as store:
-                assert scrub(store)["ok"]
-                assert store.quarantined_segments() == {}
-        finally:
-            proxy.close()
-            primary.close()
-            replica.close()
-
-    def test_repair_fetches_nothing_when_replicas_match(self, tmp_path):
-        build_store(tmp_path / "primary", seeds=(41,))
-        primary_dir = str(tmp_path / "primary")
-        replica_dir = str(tmp_path / "replica")
-        shutil.copytree(primary_dir, replica_dir)
-        primary = StoreServer(primary_dir)
-        address = "%s:%d" % primary.start()
-        try:
-            manifest = ClusterManifest(
-                shards=[
-                    ShardInfo(
-                        "shard-0",
-                        Endpoint(address=address, path=primary_dir),
-                        replicas=[Endpoint(address="", path=replica_dir)],
-                    )
-                ],
-                policy="run-hash",
-            )
-            cluster = StoreCluster(manifest)
-            report = cluster.repair()
-            replica_report = report["shards"][0]["replicas"][0]
-            # Only the metadata pair is refreshed; every data file matched.
-            assert replica_report["fetched"] == [SEGMENT_LOG_NAME, MANIFEST_NAME]
-            assert replica_report["files_matched"] > 0
-            assert verify_store(replica_dir)["ok"]
-        finally:
-            primary.close()
-
-    def test_repair_cli(self, tmp_path, capsys):
-        build_store(tmp_path / "primary", seeds=(51,))
-        primary_dir = str(tmp_path / "primary")
-        replica_dir = str(tmp_path / "replica")
-        shutil.copytree(primary_dir, replica_dir)
-        _, seg = first_segment_file(tmp_path / "replica")
-        flip_bytes(seg, -2)
-        primary = StoreServer(primary_dir)
-        address = "%s:%d" % primary.start()
-        try:
-            manifest = ClusterManifest(
-                shards=[
-                    ShardInfo(
-                        "shard-0",
-                        Endpoint(address=address, path=primary_dir),
-                        replicas=[Endpoint(address="", path=replica_dir)],
-                    )
-                ],
-                policy="run-hash",
-            )
-            cluster_json = str(tmp_path / "cluster.json")
-            manifest.save(cluster_json)
-            assert store_cli(["cluster", "repair", cluster_json, "--json"]) == 0
-            report = json.loads(capsys.readouterr().out)
-            assert report["files_fetched"] >= 3
-            assert verify_store(replica_dir)["ok"]
-        finally:
-            primary.close()
-
-    def test_fetch_file_rejects_paths_outside_the_store(self, tmp_path):
-        build_store(tmp_path / "store")
-        server = StoreServer(str(tmp_path / "store"))
-        try:
-            for bad in ("../secrets", "segments/../MANIFEST.json.bak", "/etc/passwd", "foo"):
-                response = server.handle_request({"op": "fetch_file", "path": bad})
-                assert not response["ok"]
-                assert "does not name a store file" in response["error"]
-            digest = server.handle_request({"op": "manifest_digest"})
-            assert digest["ok"]
-            some_file = sorted(digest["result"]["files"])[0]
-            fetched = server.handle_request({"op": "fetch_file", "path": some_file})
-            assert fetched["ok"]
-            data = fetched["result"]
-            assert zlib.crc32(
-                __import__("base64").b64decode(data["data"])
-            ) & 0xFFFFFFFF == data["crc"]
-        finally:
-            server.close()
-
-    def test_manifest_digest_omits_quarantined_segments(self, tmp_path):
-        build_store(tmp_path / "store")
-        store_dir = str(tmp_path / "store")
-        segment_id, seg = first_segment_file(tmp_path / "store")
-        flip_bytes(seg, -2)
-        with ProvenanceStore.open(store_dir) as store:
-            scrub(store)
-        server = StoreServer(store_dir)
-        try:
-            digest = server.handle_request({"op": "manifest_digest"})["result"]
-            rel = "%s/%s" % (SEGMENTS_DIR, os.path.basename(seg))
-            assert rel not in digest["files"]
-            assert str(segment_id) in digest["quarantined"]
         finally:
             server.close()

@@ -365,6 +365,30 @@ class TestClientRetry:
             finally:
                 server.close()
 
+    def test_torn_reply_is_a_transport_fault(self):
+        # Every reply is cut off before its newline and the connection
+        # then closes cleanly: reads retry until they are unreachable,
+        # while a sent ingest op fails fast instead of raising an
+        # untyped "malformed response".
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "store")
+            ProvenanceStore.create(path).ingest(build_cpg(), workload="torn")
+            server = StoreServer(path, writable=True)
+            server.start()
+            try:
+                with ChaosProxy(target=server.address, mode="half_close") as proxy:
+                    host, port = proxy.address
+                    client = StoreClient(host, port, timeout=5.0, retries=2, backoff=0.001)
+                    with pytest.raises(StoreUnreachableError, match="cut off after 10 bytes"):
+                        client.ping()
+                    assert proxy.connections == 3
+                    proxy.connections = 0
+                    with pytest.raises(StoreError, match="non-idempotent"):
+                        client.begin_run(workload="x")
+                    assert proxy.connections == 1
+            finally:
+                server.close()
+
     def test_from_url_forms(self):
         assert StoreClient.from_url("localhost:7000").port == 7000
         assert StoreClient.from_url("store://box:7001").host == "box"

@@ -4,9 +4,9 @@ Covers the v6 read path on top of the existing store suites: the
 ``binary-z`` codec compresses on disk, older manifest versions and
 segment rows of retired codecs are refused with a typed error at open,
 cold misses are single-flight (a stampede of readers decodes each
-segment exactly once), the store's shared decode pools are created
+segment exactly once), the store's shared decode thread pool is created
 lazily and shut down by ``close()`` (after which reads degrade to
-sequential instead of failing), and the thread and process decode paths
+sequential instead of failing), and parallel and sequential decodes
 return identical payloads.
 """
 
@@ -247,7 +247,7 @@ class TestSingleFlight:
 
 
 # ---------------------------------------------------------------------- #
-# Shared decode pools and close()
+# Shared decode pool and close()
 # ---------------------------------------------------------------------- #
 
 
@@ -300,7 +300,7 @@ class TestDecodePools:
             assert store._executor is not None
         assert store._executor is None
 
-    def test_thread_and_process_decode_agree(self, tmp_path):
+    def test_parallel_and_sequential_decode_agree(self, tmp_path):
         store_dir = str(tmp_path / "store")
         build_store(store_dir, epochs=8)
         segment_ids = [
@@ -317,33 +317,21 @@ class TestDecodePools:
                 for segment_id, payload in payloads.items()
             }
 
-        by_mode = {}
-        for mode in ("thread", "process"):
+        by_width = {}
+        for parallelism in (1, 4):
             store = ProvenanceStore.open(store_dir)
-            store.decode_mode = mode
-            by_mode[mode] = canonical(store.segment_many(segment_ids, parallelism=4))
+            by_width[parallelism] = canonical(
+                store.segment_many(segment_ids, parallelism=parallelism)
+            )
             assert store.read_stats.segments_read == len(segment_ids)
             store.close()
-        assert by_mode["thread"] == by_mode["process"]
-
-    def test_broken_process_pool_falls_back_to_threads(self, tmp_path):
-        store_dir = str(tmp_path / "store")
-        build_store(store_dir, epochs=8)
-        store = ProvenanceStore.open(store_dir)
-        store.decode_mode = "process"
-        store._process_pool_broken = True  # as if a worker died earlier
-        segment_ids = [info.segment_id for info in store.manifest.segments]
-        payloads = store.segment_many(segment_ids, parallelism=4)
-        assert set(payloads) == set(segment_ids)
-        assert store._process_pool is None
-        store.close()
+        assert by_width[4] == by_width[1]
 
     def test_missing_segment_file_is_a_store_error_in_every_mode(self, tmp_path):
         store_dir = str(tmp_path / "store")
         build_store(store_dir, epochs=4)
-        for mode in ("thread", "process"):
+        for parallelism in (1, 4):
             store = ProvenanceStore.open(store_dir)
-            store.decode_mode = mode
             segment_ids = [info.segment_id for info in store.manifest.segments]
             victim = store.manifest.segment_info(segment_ids[0]).file_name
             victim_path = os.path.join(store_dir, "segments", victim)
@@ -351,9 +339,7 @@ class TestDecodePools:
             os.remove(victim_path)
             try:
                 with pytest.raises(StoreError, match="missing"):
-                    store.segment_many(segment_ids, parallelism=4)
-                # The pool was not condemned for a store fault.
-                assert not store._process_pool_broken
+                    store.segment_many(segment_ids, parallelism=parallelism)
             finally:
                 with open(victim_path, "wb") as handle:
                     handle.write(blob)
